@@ -235,7 +235,12 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
     that (A, B) really is the conjugated seed, the oracle dimension, and the
     claimed minimum distance (skipped, with a flag, when q^k - 1 exceeds the
     budget).  This function shares no intermediate state with the builder.
+    A certificate whose k, number of codewords or matrix shapes and fields
+    do not fit r and s gets a single failed "certificate shapes" check.
     """
+    problem = _shape_problem(cert)
+    if problem:
+        return VerificationReport((CertificateCheck("certificate shapes", False, problem),))
     checks = []
     field, r, s, k = cert.field, cert.r, cert.s, cert.k
 
@@ -320,6 +325,23 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
             "minimum distance equals claim", d == cert.claimed_d,
             "" if d == cert.claimed_d else f"distance {d}, claimed {cert.claimed_d}"))
     return VerificationReport(tuple(checks), skipped)
+
+
+def _shape_problem(cert):
+    r, s, k = cert.r, cert.s, cert.k
+    if not 1 <= k <= min(r, s):
+        return f"k = {k} is outside 1..min({r}, {s})"
+    if len(cert.X) != k or len(cert.row_blocks) != k:
+        return f"{len(cert.X)} codewords and {len(cert.row_blocks)} row blocks for k = {k}"
+    named = [("A0", cert.A0, r, r), ("B0", cert.B0, s, s), ("R", cert.R, r, r),
+             ("S", cert.S, s, s), ("A", cert.A, r, r), ("B", cert.B, s, s)]
+    named += [(f"X{ell + 1}", x, r, s) for ell, x in enumerate(cert.X)]
+    for name, m, nrows, ncols in named:
+        if (m.nrows, m.ncols) != (nrows, ncols):
+            return f"{name} is {m.nrows}x{m.ncols}, expected {nrows}x{ncols}"
+        if m.field != cert.field:
+            return f"{name} is over {m.field}, the certificate over {cert.field}"
+    return ""
 
 
 def _outer(field, col, row):

@@ -8,6 +8,7 @@ characteristic.
 
 from __future__ import annotations
 
+from . import _packed
 from .errors import (
     ConstantPolynomialError,
     DependentPrefixError,
@@ -200,6 +201,10 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, rank, pivot_columns)."""
+        packed = _packed._rref(self.field, self.nrows, self.ncols, self.entries)
+        if packed is not None:
+            flat, rank, pivots = packed
+            return Matrix(self.field, self.nrows, self.ncols, flat), rank, pivots
         f = self.field
         sub, mul, inv = f.sub, f.mul, f.inv
         n, m = self.nrows, self.ncols

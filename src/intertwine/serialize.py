@@ -43,13 +43,22 @@ def field_to_json(field: FiniteField) -> dict:
     return out
 
 
-def field_from_json(obj) -> FiniteField:
+def field_from_json(obj, fields=None) -> FiniteField:
+    """Parse a field.  ``fields`` memoizes the fields of one parse on
+    (p, e, modulus), so a document that repeats a field builds it once; a
+    field that fails validation is never stored and raises every time."""
     p = _require(obj, "p", int, "field")
     e = _require(obj, "e", int, "field")
     modulus = None
     if "modulus" in obj and obj["modulus"] is not None:
-        modulus = _int_list(obj["modulus"], "field modulus")
-    return FiniteField(p, e, modulus)
+        modulus = tuple(_int_list(obj["modulus"], "field modulus"))
+    if fields is None:
+        return FiniteField(p, e, modulus)
+    key = (p, e, modulus)
+    field = fields.get(key)
+    if field is None:
+        field = fields[key] = FiniteField(p, e, modulus)
+    return field
 
 
 # -- polynomials --------------------------------------------------------------
@@ -75,8 +84,8 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(obj) -> Matrix:
-    field = field_from_json(_require(obj, "field", dict, "matrix"))
+def matrix_from_json(obj, fields=None) -> Matrix:
+    field = field_from_json(_require(obj, "field", dict, "matrix"), fields)
     nrows = _require(obj, "rows", int, "matrix")
     ncols = _require(obj, "cols", int, "matrix")
     raw = _require(obj, "entries", list, "matrix")
@@ -116,10 +125,11 @@ def code_to_json(code: IntertwiningCode) -> dict:
 
 
 def code_from_json(obj) -> IntertwiningCode:
-    field = field_from_json(_require(obj, "field", dict, "code"))
+    fields = {}
+    field = field_from_json(_require(obj, "field", dict, "code"), fields)
     r = _require(obj, "r", int, "code")
     s = _require(obj, "s", int, "code")
-    basis = [matrix_from_json(m) for m in _require(obj, "basis", list, "code")]
+    basis = [matrix_from_json(m, fields) for m in _require(obj, "basis", list, "code")]
     d = obj.get("d")
     d_budget = obj.get("d_budget")
     if d is not None and not isinstance(d, int):
@@ -180,33 +190,41 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj) -> Certificate:
-    field = field_from_json(_require(obj, "field", dict, "certificate"))
+    fields = {}
+    field = field_from_json(_require(obj, "field", dict, "certificate"), fields)
     alpha = obj.get("alpha")
     beta = obj.get("beta")
     if alpha is not None and not isinstance(alpha, int):
         raise ValueError("certificate: key 'alpha' must be an integer or null")
     if beta is not None and not isinstance(beta, int):
         raise ValueError("certificate: key 'beta' must be an integer or null")
+    transposed = obj.get("transposed", False)
+    if not isinstance(transposed, bool):
+        raise ValueError("certificate: key 'transposed' must be a boolean")
     blocks = _require(obj, "row_blocks", list, "certificate")
+
+    def matrix(key):
+        return matrix_from_json(_require(obj, key, dict, "certificate"), fields)
+
     return Certificate(
         field=field,
         r=_require(obj, "r", int, "certificate"),
         s=_require(obj, "s", int, "certificate"),
         k=_require(obj, "k", int, "certificate"),
-        A0=matrix_from_json(_require(obj, "A0", dict, "certificate")),
-        B0=matrix_from_json(_require(obj, "B0", dict, "certificate")),
+        A0=matrix("A0"),
+        B0=matrix("B0"),
         zetas=tuple(_int_list(_require(obj, "zetas", list, "certificate"), "zetas")),
         alpha=alpha,
         beta=beta,
         gamma=_require(obj, "gamma", int, "certificate"),
-        R=matrix_from_json(_require(obj, "R", dict, "certificate")),
-        S=matrix_from_json(_require(obj, "S", dict, "certificate")),
-        A=matrix_from_json(_require(obj, "A", dict, "certificate")),
-        B=matrix_from_json(_require(obj, "B", dict, "certificate")),
-        X=tuple(matrix_from_json(x) for x in _require(obj, "X", list, "certificate")),
+        R=matrix("R"),
+        S=matrix("S"),
+        A=matrix("A"),
+        B=matrix("B"),
+        X=tuple(matrix_from_json(x, fields) for x in _require(obj, "X", list, "certificate")),
         row_blocks=tuple(tuple(_int_list(b, "row block")) for b in blocks),
         claimed_d=_require(obj, "claimed_d", int, "certificate"),
-        transposed=bool(obj.get("transposed", False)),
+        transposed=transposed,
     )
 
 

@@ -252,3 +252,55 @@ def test_pretty_output(tmp_path, capsys):
     _, pretty, _ = run(capsys, ["zero", a, b, "--pretty"])
     assert json.loads(compact) == json.loads(pretty)
     assert "\n  " in pretty and "\n  " not in compact
+
+
+def verify_tampered(tmp_path, capsys, tamper):
+    blob = serialize.certificate_to_json(construct_code(3, 2, 2, F5))
+    tamper(blob)
+    code, out, err = run(capsys, ["verify", write_json(tmp_path / "cert.json", blob)])
+    assert "Traceback" not in err
+    return code, json.loads(out)
+
+
+def shape_failure(report):
+    assert report["passed"] is False
+    [check] = report["checks"]
+    assert check["name"] == "certificate shapes" and check["passed"] is False
+    return check["detail"]
+
+
+def test_verify_reports_too_few_codewords(tmp_path, capsys):
+    code, report = verify_tampered(tmp_path, capsys, lambda b: b["X"].pop())
+    assert code == 2
+    assert "1 codewords" in shape_failure(report)
+
+
+def test_verify_reports_too_many_codewords(tmp_path, capsys):
+    code, report = verify_tampered(tmp_path, capsys, lambda b: b["X"].append(b["X"][0]))
+    assert code == 2
+    assert "3 codewords" in shape_failure(report)
+
+
+def test_verify_reports_k_larger_than_the_blocks(tmp_path, capsys):
+    def tamper(blob):
+        blob["k"] = 3
+        blob["X"].append(blob["X"][0])
+        blob["row_blocks"].append([3])
+
+    code, report = verify_tampered(tmp_path, capsys, tamper)
+    assert code == 2
+    assert "k = 3" in shape_failure(report)
+
+
+def test_verify_reports_r_that_does_not_match_the_matrices(tmp_path, capsys):
+    code, report = verify_tampered(tmp_path, capsys, lambda b: b.update(r=4))
+    assert code == 2
+    assert "expected 4x4" in shape_failure(report)
+
+
+def test_verify_rejects_transposed_as_a_string(tmp_path, capsys):
+    blob = serialize.certificate_to_json(construct_code(3, 2, 2, F5))
+    blob["transposed"] = "false"
+    code, out, err = run(capsys, ["verify", write_json(tmp_path / "cert.json", blob)])
+    assert code == 1 and out == ""
+    assert "transposed" in err and "Traceback" not in err

@@ -1,9 +1,13 @@
 """Exact linear algebra: elimination, characteristic polynomials, completion."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intertwine import _packed
 from intertwine import (
     DependentPrefixError,
     FiniteField,
@@ -223,3 +227,58 @@ def test_transpose_and_weight():
     assert m.transpose() == Matrix(F5, 3, 2, [1, 0, 0, 0, 2, 3])
     assert m.weight() == 3
     assert m.transpose().weight() == 3
+
+
+# Fields that take the byte-packed elimination, then fields that keep the
+# list loop: odd-characteristic extension, p >= 128, q > 256.
+PACKED_ORDERS = (2, 4, 16, 256, 5, 127)
+LIST_ORDERS = (9, 131, 1024)
+SHAPES = ("no rows", "no columns", "all zero", "tall", "wide", "square", "rank deficient")
+
+
+@st.composite
+def kernel_matrices(draw):
+    f = get_field(draw(st.sampled_from(PACKED_ORDERS + LIST_ORDERS)))
+    shape = draw(st.sampled_from(SHAPES))
+    short, long = draw(st.integers(1, 4)), draw(st.integers(5, 8))
+    nrows, ncols = {"no rows": (0, short), "no columns": (short, 0), "tall": (long, short),
+                    "wide": (short, long)}.get(shape, (long, long))
+
+    def entries(count):
+        entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+        return draw(st.lists(entry, min_size=count, max_size=count))
+
+    if shape == "all zero":
+        return Matrix.zero(f, nrows, ncols)
+    if shape == "rank deficient":
+        inner = draw(st.integers(0, nrows - 1))
+        return (Matrix(f, nrows, inner, entries(nrows * inner))
+                * Matrix(f, inner, ncols, entries(inner * ncols)))
+    return Matrix(f, nrows, ncols, entries(nrows * ncols))
+
+
+def kernel_results(m):
+    inverse = None
+    if m.is_square:
+        try:
+            inverse = m.inverse()
+        except SingularError:
+            pass
+    return m.rref(), m.rank(), m.nullspace(), inverse
+
+
+def test_packed_elimination_covers_exactly_the_small_fields():
+    for q in PACKED_ORDERS:
+        assert _packed._rref(get_field(q), 1, 1, (1,)) is not None
+    for q in LIST_ORDERS:
+        assert _packed._rref(get_field(q), 1, 1, (1,)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_matrices())
+def test_kernel_matches_list_loop(m):
+    # the list loop in Matrix.rref is the reference for every field
+    results = kernel_results(m)
+    with mock.patch.object(_packed, "_rref", lambda *args: None):
+        reference = kernel_results(m)
+    assert results == reference

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from intertwine import (
+    BadModulusError,
     FiniteField,
     Matrix,
     Partition,
@@ -90,6 +91,34 @@ def test_certificate_roundtrip(cert_args):
     back = roundtrip(serialize.certificate_to_json, serialize.certificate_from_json, cert)
     assert back == cert
     assert verify_certificate(back).passed
+
+
+def test_certificate_parse_builds_each_field_once():
+    cert = construct_code(3, 2, 2, get_field(256), check=False)
+    back = serialize.certificate_from_json(json.loads(json.dumps(
+        serialize.certificate_to_json(cert))))
+    assert back.A.field is back.B.field is back.X[0].field is back.field
+
+
+def test_certificate_transposed_key():
+    blob = serialize.certificate_to_json(construct_code(2, 2, 1, F5))
+    del blob["transposed"]
+    assert serialize.certificate_from_json(blob).transposed is False
+    for bad in ("false", 0, None):
+        blob["transposed"] = bad
+        with pytest.raises(ValueError, match="transposed"):
+            serialize.certificate_from_json(blob)
+
+
+def test_field_memo_never_stores_a_failed_field():
+    fields = {}
+    bad = {"p": 2, "e": 2, "modulus": [1, 0, 1]}  # t^2 + 1 = (t + 1)^2
+    for _ in range(2):
+        with pytest.raises(BadModulusError):
+            serialize.field_from_json(bad, fields)
+    assert fields == {}
+    good = {"p": 2, "e": 2, "modulus": [1, 1, 1]}
+    assert serialize.field_from_json(good, fields) is serialize.field_from_json(good, fields)
 
 
 def test_certificate_key_order_is_stable():
