@@ -1,4 +1,4 @@
-"""Gauss-Jordan elimination on byte-packed rows over small fields.
+"""Gauss-Jordan elimination and codeword rows, byte-packed over small fields.
 
 A row of m entries is one Python int made from m bytes, one byte per entry,
 most significant first, so the entry in column c is
@@ -13,9 +13,16 @@ mapped through a 256-byte table with ``bytes.translate``.
 Other fields do not qualify and keep the list loop in ``Matrix.rref``.  This
 is the word-packed elimination of M4RI (Albrecht, Bard, Hart, ACM TOMS 2010)
 with bytes for words.
+
+The codeword scan of ``codes.min_distance`` only adds rows and counts their
+nonzero entries, so ``_row_ops`` packs any field with p < 128: an entry
+becomes e bytes, one per GF(p) coefficient of its encoding, kept in e planes
+of n bytes each.  Fields with p >= 128 keep plain lists.
 """
 
 from __future__ import annotations
+
+from operator import xor
 
 # field -> {c: 256-byte table of x -> c*x}, each built on first use from
 # field.mul.  The tables depend on the field alone.
@@ -78,3 +85,42 @@ def _rref(field, nrows, ncols, entries):
         pivots.append(c)
         r += 1
     return b"".join([row.to_bytes(m, "big") for row in rows]), r, tuple(pivots)
+
+
+def _row_ops(field, n):
+    """(pack, add, weight) for rows of n entries of the field.
+
+    pack turns an entry sequence into a row, add sums two rows and weight
+    counts the nonzero entries of a row.
+    """
+    p, e = field.p, field.e
+    if p >= 128:
+        fadd = field.add
+        return list, lambda x, y: [fadd(a, b) for a, b in zip(x, y)], lambda x: n - x.count(0)
+    if p == 2 and field.q <= 256:
+        return (lambda entries: int.from_bytes(bytes(entries), "big"), xor,
+                lambda x: n - x.to_bytes(n, "big").count(0))
+    size = e * n
+    shifts = [8 * n * t for t in range(1, e)]
+
+    def pack(entries):
+        return int.from_bytes(
+            b"".join(bytes([v // p**t % p for v in entries]) for t in range(e)), "big")
+
+    def weight(x):
+        # an entry is nonzero when any of its planes is; the OR of all planes
+        # lands in the last n bytes
+        folded = x
+        for shift in shifts:
+            folded |= x >> shift
+        return n - folded.to_bytes(size, "big").count(0, size - n)
+
+    if p == 2:
+        return pack, xor, weight
+    reduce = bytes([x % p for x in range(256)])
+
+    def add(x, y):
+        # a byte sum is at most 2(p - 1) <= 252, so no byte carries
+        return int.from_bytes((x + y).to_bytes(size, "big").translate(reduce), "big")
+
+    return pack, add, weight

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._packed import _row_ops
 from .canonical import primary_decomposition, spectral_summary
 from .errors import (
     BudgetExceededError,
@@ -26,9 +27,6 @@ from .polys import Poly, gcd
 
 #: Default ceiling on exhaustively enumerated codewords.
 DEFAULT_BUDGET = 1 << 24
-
-# Scalar-multiple rows are cached per basis element for fields up to this order.
-_SCALAR_CACHE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -231,92 +229,44 @@ def is_zero_code(a: Matrix, b: Matrix) -> bool:
 
 
 def min_distance(code: IntertwiningCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact minimum Hamming weight by exhaustive ranked enumeration.
+    """Exact minimum Hamming weight by exhaustive projective enumeration.
 
-    All q^k - 1 nonzero coefficient vectors are visited in ranked order (the
-    vector is the base-q digit string of its index, most significant digit
-    first), each codeword is materialized and its nonzero entries counted.
-    Raises unless q^k - 1 fits in the budget.
+    Scalar multiples share a weight, so only the (q^k - 1)/(q - 1) codewords
+    whose leading nonzero coefficient is 1 are visited.  GF(q) = GF(p)^e
+    through the generators alpha^t * b_i (t < e), and for each leading
+    position j the GF(p)-combinations of the later generators are walked in
+    p-ary modular Gray order from b_j: step i adds generator v_p(i) once, one
+    packed row add and one weight count.  Raises unless q^k - 1, the number
+    of nonzero codewords, fits in the budget.
     """
     k = code.k
     if k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
-    count = code.field.q**k - 1
+    field = code.field
+    count = field.q**k - 1
     if count > budget:
         raise BudgetExceededError(count, budget)
-    return _min_weight_scan(code, 1, count + 1)
-
-
-def _min_weight_scan(code: IntertwiningCode, start: int, stop: int) -> int:
-    """Minimum weight over codewords with ranked index in [start, stop).
-
-    Disjoint ranges may be scanned independently and min-reduced; the result
-    is identical to a single full scan.
-    """
-    field = code.field
-    q = field.q
-    k = code.k
-    n = code.n
-    if start >= stop:
-        return n + 1
-    vecs = [list(m.entries) for m in code.basis]
-    mul = field.mul
-    cache_rows = q <= _SCALAR_CACHE_LIMIT
-    tables = [[None] * q for _ in range(k)] if cache_rows else None
-    zero_row = [0] * n
-
-    def scaled(i, c):
-        if c == 0:
-            return zero_row
-        if c == 1:
-            return vecs[i]
-        if cache_rows:
-            row = tables[i][c]
-            if row is None:
-                row = [mul(c, x) for x in vecs[i]]
-                tables[i][c] = row
-            return row
-        return [mul(c, x) for x in vecs[i]]
-
-    add = field.add
-    digits = []
-    m = start
-    for _ in range(k):
-        digits.append(m % q)
-        m //= q
-    digits.reverse()
-    partial = [None] * k
-
-    def recompute(pos):
-        for i in range(pos, k):
-            row = scaled(i, digits[i])
-            if i == 0:
-                partial[0] = row
-            else:
-                prev = partial[i - 1]
-                partial[i] = [add(prev[t], row[t]) for t in range(n)]
-
-    recompute(0)
-    best = n + 1
-    m = start
-    while True:
-        word = partial[k - 1]
-        w = n - word.count(0)
-        if w < best:
-            best = w
-            if best == 1:
-                break
-        m += 1
-        if m >= stop:
-            break
-        i = k - 1
-        while True:
-            digits[i] += 1
-            if digits[i] < q:
-                break
-            digits[i] = 0
-            i -= 1
-        recompute(i)
+    p, e, mul = field.p, field.e, field.mul
+    pack, add, weight = _row_ops(field, code.n)
+    # alpha^t is encoded p^t
+    gens = [pack([mul(p**t, v) for v in m.entries]) for m in code.basis for t in range(e)]
+    best = code.n
+    for j in range(k):
+        row = gens[e * j]
+        later = gens[e * (j + 1):]
+        for i in range(p**len(later)):
+            if i:
+                # the Gray code steps digit v = v_p(i) up by one
+                v = 0
+                while i % p == 0:
+                    i //= p
+                    v += 1
+                row = add(row, later[v])
+            w = weight(row)
+            if w < best:
+                best = w
+                if w == 1:
+                    return 1
     return best
 
 

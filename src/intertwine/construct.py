@@ -232,9 +232,11 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
     Verifies invertibility of R and S, the block/full-support structure of
     the distinguished rows and columns, the rank-one identities
     R^{-1} E_ll S = T_{*l} S_{l*} = X_l, that every X_l intertwines (A, B),
-    that (A, B) really is the conjugated seed, the oracle dimension, and the
-    claimed minimum distance (skipped, with a flag, when q^k - 1 exceeds the
-    budget).  This function shares no intermediate state with the builder.
+    that (A, B) really is the conjugated seed, the oracle dimension, the
+    claimed minimum distance from the disjoint supports of the X_l (never
+    skipped), and the claimed minimum distance by exhaustive scan (skipped,
+    with a flag, when q^k - 1 exceeds the budget).  This function shares no
+    intermediate state with the builder.
     A certificate whose k, number of codewords or matrix shapes and fields
     do not fit r and s gets a single failed "certificate shapes" check.
     """
@@ -313,6 +315,20 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
     checks.append(CertificateCheck(
         "oracle dimension equals k", code.k == k,
         "" if code.k == k else f"oracle dimension {code.k}"))
+
+    # X_l spanning the code with pairwise disjoint supports make the weight
+    # of sum a_l X_l the sum of wt(X_l) over a_l != 0, so d = min_l wt(X_l).
+    supports = [{i for i, v in enumerate(x.entries) if v} for x in cert.X]
+    lightest = min(map(len, supports))
+    if not (intertwines and span_k == k == code.k):
+        detail = "codewords do not span the oracle code"
+    elif sum(map(len, supports)) != len(set().union(*supports)):
+        detail = "codeword supports overlap"
+    elif lightest != cert.claimed_d:
+        detail = f"lightest codeword has weight {lightest}, claimed {cert.claimed_d}"
+    else:
+        detail = ""
+    checks.append(CertificateCheck("minimum distance from disjoint supports", not detail, detail))
 
     skipped = False
     if code.k == 0:

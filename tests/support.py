@@ -57,3 +57,47 @@ def partitions_of(n):
 
     for parts in gen(n, n):
         yield Partition(parts)
+
+
+def reference_min_distance(code):
+    """Minimum weight by the ranked full scan: every one of the q^k - 1
+    nonzero coefficient vectors, as base-q digit strings of 1..q^k - 1 (most
+    significant first), with the codeword rebuilt from the changed digit on."""
+    field = code.field
+    q, k, n = field.q, code.k, code.n
+    vecs = [list(m.entries) for m in code.basis]
+    mul, add = field.mul, field.add
+    tables = [[None] * q for _ in range(k)]
+
+    def scaled(i, c):
+        if c == 0:
+            return [0] * n
+        row = tables[i][c]
+        if row is None:
+            row = tables[i][c] = [mul(c, x) for x in vecs[i]]
+        return row
+
+    digits = [0] * (k - 1) + [1]
+    partial = [None] * k
+
+    def recompute(pos):
+        for i in range(pos, k):
+            row = scaled(i, digits[i])
+            partial[i] = row if i == 0 else [add(a, b) for a, b in zip(partial[i - 1], row)]
+
+    recompute(0)
+    best = n + 1
+    for m in range(1, q**k):
+        if m > 1:
+            i = k - 1
+            while True:
+                digits[i] += 1
+                if digits[i] < q:
+                    break
+                digits[i] = 0
+                i -= 1
+            recompute(i)
+        best = min(best, n - partial[k - 1].count(0))
+        if best == 1:
+            break
+    return best

@@ -110,6 +110,19 @@ def test_mindist_budget_exceeded(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_mindist_budget_boundary(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.json", Matrix.zero(F2, 2, 2))
+    b = write_matrix(tmp_path / "b.json", Matrix.zero(F2, 2, 2))
+    out_path = tmp_path / "code.json"
+    run(capsys, ["basis", a, b, "--out", str(out_path)])
+    code, out, _ = run(capsys, ["mindist", str(out_path), "--budget", "15"])
+    assert code == 0
+    assert json.loads(out) == {"d": 1, "enumerated": 15}
+    code, _, err = run(capsys, ["mindist", str(out_path), "--budget", "14"])
+    assert code == 3
+    assert "needs 15 codewords" in err
+
+
 def test_mindist_zero_code_is_precondition_error(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.json", Matrix.identity(F2, 2))
     b = write_matrix(tmp_path / "b.json", Matrix.zero(F2, 2, 2))

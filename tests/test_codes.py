@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertwine import (
     BudgetExceededError,
@@ -28,26 +32,23 @@ from intertwine import (
     spectral_bounds,
     syndrome,
 )
-from intertwine.codes import _min_weight_scan
-from support import get_field, rand_invertible, rand_matrix
+from support import get_field, rand_invertible, rand_matrix, reference_min_distance
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
 
 
-def brute_min_distance(code):
-    """Independent oracle: materialize every nonzero codeword via codeword()."""
-    q = code.field.q
+def brute_min_distance(code, projective=False):
+    """Independent oracle: materialize every nonzero codeword via codeword(),
+    or with projective=True those whose leading nonzero coefficient is 1."""
+    q, k = code.field.q, code.k
     best = None
-    for m in range(1, q**code.k):
-        digits = []
-        x = m
-        for _ in range(code.k):
-            digits.append(x % q)
-            x //= q
-        w = code.codeword(reversed(digits)).weight()
-        best = w if best is None else min(best, w)
+    for j in range(k):
+        for head in ([1] if projective else range(1, q)):
+            for tail in product(range(q), repeat=k - 1 - j):
+                w = code.codeword([0] * j + [head, *tail]).weight()
+                best = w if best is None else min(best, w)
     return best
 
 
@@ -178,17 +179,65 @@ def test_min_distance_errors():
     assert (exc.value.needed, exc.value.budget) == (15, 3)
 
 
-def test_min_distance_range_split_is_deterministic():
-    full = intertwiner_basis([Matrix.zero(F3, 2, 2)], [Matrix.zero(F3, 2, 2)])
-    total = F3.q**full.k - 1
-    whole = min_distance(full)
-    cut = total // 3
-    chunked = min(
-        _min_weight_scan(full, 1, cut),
-        _min_weight_scan(full, cut, 2 * cut),
-        _min_weight_scan(full, 2 * cut, total + 1),
-    )
-    assert chunked == whole
+def test_min_distance_budget_boundary():
+    code = intertwiner_basis([Matrix.zero(F3, 1, 1)], [Matrix.zero(F3, 2, 2)])
+    needed = F3.q**code.k - 1
+    assert min_distance(code, budget=needed) == 1
+    with pytest.raises(BudgetExceededError) as exc:
+        min_distance(code, budget=needed - 1)
+    assert (exc.value.needed, exc.value.budget) == (needed, needed - 1)
+
+
+# Every row format of the scan: one encoding byte (characteristic 2 with
+# q <= 256), coefficient planes (other p < 128) and plain lists (p >= 128).
+SCAN_ORDERS = (2, 4, 8, 256, 3, 5, 7, 127, 9, 27, 131, 1024)
+
+
+@st.composite
+def scan_codes(draw, q):
+    f = get_field(q)
+    kind = draw(st.sampled_from(["random", "distance one", "full support", "planted"]))
+    r, s = (3, 3) if kind == "planted" else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    # at most about 1100 projective codewords for the projective oracle
+    kmax = max(k for k in (1, 2, 3) if k <= r * s and (q**k - 1) // (q - 1) <= 1100)
+    k = draw(st.integers(1, kmax))
+    nonzero = st.integers(1, q - 1)
+    entry = nonzero if kind == "full support" else st.integers(0, q - 1)
+    if kind == "planted":
+        # systematic rows (I | P) with a P whose columns are orthogonal to
+        # a = (1, a_2, .., a_k), all a_i nonzero: the codeword sum a_i b_i
+        # is (a | 0) of weight k, with a nonzero coefficient on every row
+        a = [1] + draw(st.lists(nonzero, min_size=k - 1, max_size=k - 1))
+        cols = [draw(st.lists(entry, min_size=k - 1, max_size=k - 1)) for _ in range(r * s - k)]
+        heads = [f.neg(reduce(f.add, map(f.mul, a[1:], col), 0)) for col in cols]
+        rows = [[int(i == j) for j in range(k)] + [head if i == 0 else col[i - 1]
+                                                   for head, col in zip(heads, cols)]
+                for i in range(k)]
+        return kind, IntertwiningCode(f, r, s, [Matrix(f, r, s, row) for row in rows])
+    mats = [Matrix(f, r, s, draw(st.lists(entry, min_size=r * s, max_size=r * s)))
+            for _ in range(k)]
+    if kind == "distance one":
+        mats[0] = Matrix.unit(f, r, s, draw(st.integers(0, r - 1)), draw(st.integers(0, s - 1)))
+    return kind, IntertwiningCode(f, r, s, mats)
+
+
+@pytest.mark.parametrize("q", SCAN_ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_min_distance_matches_reference_scans(q, data):
+    kind, code = data.draw(scan_codes(q))
+    if code.k == 0:
+        return
+    d = min_distance(code)
+    assert d == brute_min_distance(code, projective=True)
+    if q**code.k <= 4096:
+        assert d == reference_min_distance(code) == brute_min_distance(code)
+    if kind == "distance one":
+        assert d == 1
+    if kind == "full support" and code.k == 1:
+        assert d == code.n
+    if kind == "planted":
+        assert d <= code.k
 
 
 def test_bounds_examples():

@@ -8,6 +8,7 @@ import pytest
 
 from intertwine import (
     BadKError,
+    CertificateCheck,
     FieldTooSmallError,
     FiniteField,
     IntertwiningCode,
@@ -196,7 +197,7 @@ def test_verify_flags_inflated_distance():
     report = verify_certificate(bad)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
-    assert failed == {"minimum distance equals claim"}
+    assert failed == {"minimum distance equals claim", "minimum distance from disjoint supports"}
 
 
 def test_verify_flags_singular_conjugator():
@@ -213,6 +214,26 @@ def test_verify_skips_distance_on_small_budget():
     assert report.distance_skipped
     assert report.passed  # every other check still runs and passes
     assert all(c.name != "minimum distance equals claim" for c in report.checks)
+
+
+def test_verify_confirms_distance_from_supports_beyond_budget():
+    # 16^10 - 1 codewords are far beyond the default budget
+    cert = construct_code(20, 10, 10, get_field(16), check=False)
+    report = verify_certificate(cert)
+    assert report.distance_skipped and report.passed
+    assert cert.claimed_d == 20
+    assert [c for c in report.checks if c.name == "minimum distance from disjoint supports"] == [
+        CertificateCheck("minimum distance from disjoint supports", True)]
+
+
+def test_verify_flags_overlapping_supports():
+    cert = construct_code(3, 2, 2, F5)
+    # X1 + X2 still lies in the code and keeps the X independent
+    bad = replace(cert, X=(cert.X[0], cert.X[0] + cert.X[1]))
+    report = verify_certificate(bad)
+    [check] = [c for c in report.checks if c.name == "minimum distance from disjoint supports"]
+    assert (check.passed, check.detail) == (False, "codeword supports overlap")
+    assert not report.passed
 
 
 def test_builder_self_check_runs_within_budget():
