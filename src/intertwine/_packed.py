@@ -17,7 +17,9 @@ with bytes for words.
 The codeword scan of ``codes.min_distance`` only adds rows and counts their
 nonzero entries, so ``_row_ops`` packs any field with p < 128: an entry
 becomes e bytes, one per GF(p) coefficient of its encoding, kept in e planes
-of n bytes each.  Fields with p >= 128 keep plain lists.
+of n bytes each, and rows add as prime-field rows do.  Characteristic 2 with
+q <= 256 keeps one encoding byte per entry; fields with p >= 128 keep plain
+lists.
 """
 
 from __future__ import annotations
@@ -115,8 +117,6 @@ def _row_ops(field, n):
             folded |= x >> shift
         return n - folded.to_bytes(size, "big").count(0, size - n)
 
-    if p == 2:
-        return pack, xor, weight
     reduce = bytes([x % p for x in range(256)])
 
     def add(x, y):
