@@ -1,4 +1,5 @@
-"""Gauss-Jordan elimination and codeword rows, byte-packed over small fields.
+"""Gauss-Jordan elimination, matrix products and codeword rows, byte-packed
+over small fields.
 
 A row of m entries is one Python int made from m bytes, one byte per entry,
 most significant first, so the entry in column c is
@@ -10,9 +11,11 @@ mapped through a 256-byte table with ``bytes.translate``.
   bytes, because a byte sum is at most 2(p - 1) <= 252; one ``translate``
   by the table of x mod p then reduces every byte.
 
-Other fields do not qualify and keep the list loop in ``Matrix.rref``.  This
-is the word-packed elimination of M4RI (Albrecht, Bard, Hart, ACM TOMS 2010)
-with bytes for words.
+Other fields do not qualify and keep the list loops in ``Matrix.rref`` and
+``Matrix.__mul__``.  This is the word-packed elimination of M4RI (Albrecht,
+Bard, Hart, ACM TOMS 2010) with bytes for words.  A product sums up to
+255 // (p - 1) prime-field rows before it reduces, since no byte can pass
+255 before then.
 
 The codeword scan of ``codes.min_distance`` only adds rows and counts their
 nonzero entries, so ``_row_ops`` packs any field with p < 128: an entry
@@ -31,19 +34,21 @@ from operator import xor
 _SCALES = {}
 
 
-def _rref(field, nrows, ncols, entries):
-    """Reduced row echelon form of a row-major entry sequence.
+def _byte_field(field):
+    """True when rows of the field pack one byte per entry: characteristic 2
+    with q <= 256, or a prime field with p < 128."""
+    p = field.p
+    return p == 2 and field.q <= 256 or field.e == 1 and p < 128
 
-    Returns (entries, rank, pivot_columns), or None when the field is not
-    of characteristic 2 with q <= 256 or prime with p < 128.
+
+def _scaler(field):
+    """The function c -> 256-byte table of x -> c*x, cached per field.
+
+    Prime-field tables cover every byte value, so the table of 1 is x mod p.
     """
-    p, q = field.p, field.q
-    if not (p == 2 and q <= 256 or field.e == 1 and p < 128):
-        return None
     scales = _SCALES.setdefault(field, {})
-    mul, neg, inv = field.mul, field.neg, field.inv
-    # Prime-field tables cover every byte value, so the table of 1 is x mod p.
-    size = q if p == 2 else 256
+    mul = field.mul
+    size = field.q if field.p == 2 else 256
     pad = bytes(256 - size)
 
     def scale(c):
@@ -52,7 +57,20 @@ def _rref(field, nrows, ncols, entries):
             table = scales[c] = bytes([mul(c, x) for x in range(size)]) + pad
         return table
 
-    reduce = None if p == 2 else scale(1)
+    return scale
+
+
+def _rref(field, nrows, ncols, entries):
+    """Reduced row echelon form of a row-major entry sequence.
+
+    Returns (entries, rank, pivot_columns), or None when the field does not
+    qualify (see ``_byte_field``).
+    """
+    if not _byte_field(field):
+        return None
+    neg, inv = field.neg, field.inv
+    scale = _scaler(field)
+    reduce = None if field.p == 2 else scale(1)
     n, m = nrows, ncols
     flat = bytes(entries)
     rows = [int.from_bytes(flat[i * m:(i + 1) * m], "big") for i in range(n)]
@@ -87,6 +105,44 @@ def _rref(field, nrows, ncols, entries):
         pivots.append(c)
         r += 1
     return b"".join([row.to_bytes(m, "big") for row in rows]), r, tuple(pivots)
+
+
+def _matmul(field, n, m, k, a, b):
+    """Entries of the n x k product of row-major a (n x m) and b (m x k).
+
+    Row i of the product is the sum over t of a[i, t] times row t of b, each
+    multiple made by one ``translate``.  Returns None when the field does not
+    qualify (see ``_byte_field``).
+    """
+    if not _byte_field(field):
+        return None
+    scale = _scaler(field)
+    flat = bytes(b)
+    brows = [flat[t * k:(t + 1) * k] for t in range(m)]
+    out = []
+    if field.p == 2:
+        for i in range(n):
+            acc = 0
+            for c, brow in zip(a[i * m:(i + 1) * m], brows):
+                if c:
+                    acc ^= int.from_bytes(brow.translate(scale(c)), "big")
+            out.append(acc.to_bytes(k, "big"))
+        return b"".join(out)
+    # A byte sum stays below 256 for up to 255 // (p - 1) terms, each at most
+    # p - 1; after that the sum is reduced and counts as one term.
+    reduce = scale(1)
+    limit = 255 // (field.p - 1)
+    for i in range(n):
+        acc = terms = 0
+        for c, brow in zip(a[i * m:(i + 1) * m], brows):
+            if c:
+                if terms == limit:
+                    acc = int.from_bytes(acc.to_bytes(k, "big").translate(reduce), "big")
+                    terms = 1
+                acc += int.from_bytes(brow.translate(scale(c)), "big")
+                terms += 1
+        out.append(acc.to_bytes(k, "big").translate(reduce))
+    return b"".join(out)
 
 
 def _row_ops(field, n):

@@ -115,12 +115,12 @@ class IntertwiningCode:
 def _canonical_basis(field, r, s, mats):
     if not mats:
         return ()
-    stacked = Matrix(field, len(mats), r * s, [v for m in mats for v in m.entries])
+    stacked = Matrix._raw(field, len(mats), r * s, [v for m in mats for v in m.entries])
     reduced, rank, _ = stacked.rref()
     n = r * s
     out = []
     for i in range(rank):
-        out.append(Matrix(field, r, s, reduced.entries[i * n:(i + 1) * n]))
+        out.append(Matrix._raw(field, r, s, reduced.entries[i * n:(i + 1) * n]))
     return tuple(out)
 
 
@@ -172,9 +172,9 @@ def intertwiner_basis(a_list, b_list) -> IntertwiningCode:
                         idx = u * s + t
                         row[idx] = sub(row[idx], c)
                 rows.append(row)
-    system = Matrix(field, len(rows), n, [v for row in rows for v in row])
+    system = Matrix._raw(field, len(rows), n, [v for row in rows for v in row])
     kernel = system.nullspace()
-    mats = [Matrix(field, r, s, vec.entries) for vec in kernel]
+    mats = [Matrix._raw(field, r, s, vec.entries) for vec in kernel]
     return IntertwiningCode(field, r, s, mats)
 
 

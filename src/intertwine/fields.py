@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .errors import BadModulusError, DivisionByZeroError, NotPrimeError
 
-# Extension fields up to this order get dense q x q lookup tables.
-_TABLE_LIMIT = 256
+# Extension fields up to this order get log/antilog tables.
+_LOG_TABLE_LIMIT = 1 << 16
 # Supported sizes: p < 2^31 and q <= 2^31.
 _ORDER_LIMIT = 1 << 31
 
@@ -152,6 +152,79 @@ def _least_irreducible(p, e):
     raise BadModulusError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
+def _vector_ops(p, e, modulus):
+    """(add, sub, neg, mul) of GF(p^e) computed on coefficient vectors."""
+    if p == 2:
+        mod_mask = 0
+        for i, c in enumerate(modulus):
+            if c:
+                mod_mask |= 1 << i
+        top = 1 << e
+
+        def add(a, b):
+            return a ^ b
+
+        def neg(a):
+            return a
+
+        def mul(a, b):
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= mod_mask
+            return r
+
+        return add, add, neg, mul
+
+    def digits(x):
+        out = []
+        for _ in range(e):
+            out.append(x % p)
+            x //= p
+        return out
+
+    def enc(ds):
+        v = 0
+        for d in reversed(ds):
+            v = v * p + d
+        return v
+
+    def add(a, b):
+        return enc([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def sub(a, b):
+        return enc([(x - y) % p for x, y in zip(digits(a), digits(b))])
+
+    def neg(a):
+        return enc([(-x) % p for x in digits(a)])
+
+    def mul(a, b):
+        if a == 0 or b == 0:
+            return 0
+        da, db = digits(a), digits(b)
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(da):
+            if x:
+                for j, y in enumerate(db):
+                    if y:
+                        prod[i + j] = (prod[i + j] + x * y) % p
+        for i in range(2 * e - 2, e - 1, -1):
+            c = prod[i]
+            if c:
+                prod[i] = 0
+                off = i - e
+                for j in range(e):
+                    if modulus[j]:
+                        prod[off + j] = (prod[off + j] - c * modulus[j]) % p
+        return enc(prod[:e])
+
+    return add, sub, neg, mul
+
+
 class FiniteField:
     """The finite field GF(p^e) operating on integer-encoded elements.
 
@@ -167,14 +240,18 @@ class FiniteField:
         chosen automatically (least by encoding) when omitted.
 
     The arithmetic callables ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and
-    ``div`` are bound per instance; for small extension fields they read
-    precomputed tables, exposed as ``add_table``/``mul_table`` for hot loops.
-    Element encodings are not range-checked by the arithmetic itself; the
-    containers (polynomials, matrices) validate at construction time.
+    ``div`` are bound per instance.  Prime fields compute mod p.  Extension
+    fields with q <= 2^16 read log/antilog tables over their least primitive
+    element (Huber, IEEE Trans. IT 36(4), 1990): mul, inv and div add or
+    subtract logarithms, and add is XOR in characteristic 2 and a Zech
+    logarithm lookup otherwise.  Larger fields compute on coefficient
+    vectors, the arithmetic that also builds the tables.  Element encodings
+    are not range-checked by the arithmetic itself; the containers
+    (polynomials, matrices) validate at construction time.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "add", "sub", "neg", "mul", "inv",
-                 "div", "add_table", "mul_table")
+                 "div", "_log")
 
     def __init__(self, p, e=1, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -212,9 +289,7 @@ class FiniteField:
 
     def _install_ops(self):
         p, e, q = self.p, self.e, self.q
-        self.add_table = None
-        self.mul_table = None
-
+        self._log = None
         if e == 1:
             def add(a, b):
                 return (a + b) % p
@@ -240,117 +315,82 @@ class FiniteField:
             self.mul, self.inv, self.div = mul, inv, div
             return
 
-        if p == 2:
-            mod_mask = 0
-            for i, c in enumerate(self.modulus):
-                if c:
-                    mod_mask |= 1 << i
-            top = 1 << e
+        add, sub, neg, mul = _vector_ops(p, e, self.modulus)
+        self.mul = mul
+        if q > _LOG_TABLE_LIMIT:
+            def inv(a):
+                if a == 0:
+                    raise DivisionByZeroError("inverse of zero")
+                return self.pow(a, q - 2)
 
-            def add(a, b):
-                return a ^ b
+            def div(a, b):
+                return mul(a, inv(b))
 
-            sub = add
+            self.add, self.sub, self.neg = add, sub, neg
+            self.inv, self.div = inv, div
+            return
 
-            def neg(a):
-                return a
+        # Log/antilog tables over the least primitive element g: log[g^i] = i,
+        # and exp[i] = g^i for 0 <= i < 2(q - 1), so a sum of two logs needs
+        # no reduction.  Encodings below p lie in the prime subfield, whose
+        # orders divide p - 1 < q - 1, so the search starts at p.
+        order = q - 1
+        cofactors = [order // ell for ell in prime_divisors(order)]
+        g = next(g for g in range(p, q) if all(self.pow(g, c) != 1 for c in cofactors))
+        exp = [1] * (2 * order)
+        for i in range(1, order):
+            exp[i] = mul(exp[i - 1], g)
+        exp[order:] = exp[:order]
+        log = [0] * q
+        for i in range(order):
+            log[exp[i]] = i
+        self._log = log
 
-            def mul(a, b, _mod=mod_mask, _top=top):
-                r = 0
-                while b:
-                    if b & 1:
-                        r ^= a
-                    b >>= 1
-                    a <<= 1
-                    if a & _top:
-                        a ^= _mod
-                return r
-        else:
-            mod = self.modulus
-
-            def _digits(x, _p=p, _e=e):
-                out = []
-                for _ in range(_e):
-                    out.append(x % _p)
-                    x //= _p
-                return out
-
-            def _enc(ds, _p=p):
-                v = 0
-                for d in reversed(ds):
-                    v = v * _p + d
-                return v
-
-            def add(a, b):
-                return _enc([(x + y) % p for x, y in zip(_digits(a), _digits(b))])
-
-            def sub(a, b):
-                return _enc([(x - y) % p for x, y in zip(_digits(a), _digits(b))])
-
-            def neg(a):
-                return _enc([(-x) % p for x in _digits(a)])
-
-            def mul(a, b, _e=e):
-                if a == 0 or b == 0:
-                    return 0
-                da, db = _digits(a), _digits(b)
-                prod = [0] * (2 * _e - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            if y:
-                                prod[i + j] = (prod[i + j] + x * y) % p
-                for i in range(2 * _e - 2, _e - 1, -1):
-                    c = prod[i]
-                    if c:
-                        prod[i] = 0
-                        off = i - _e
-                        for j in range(_e):
-                            if mod[j]:
-                                prod[off + j] = (prod[off + j] - c * mod[j]) % p
-                return _enc(prod[:_e])
+        def mul(a, b):
+            if a and b:
+                return exp[log[a] + log[b]]
+            return 0
 
         def inv(a):
             if a == 0:
                 raise DivisionByZeroError("inverse of zero")
-            return self.pow(a, q - 2)
+            return exp[order - log[a]]
 
         def div(a, b):
-            return mul(a, inv(b))
+            if b == 0:
+                raise DivisionByZeroError("inverse of zero")
+            if a:
+                return exp[log[a] - log[b] + order]
+            return 0
+
+        if p != 2:
+            # Zech logarithms: g^zech[k] = 1 + g^k, or -1 where 1 + g^k = 0;
+            # the table repeats with period q - 1, so log differences index
+            # it directly.  -1 is g^((q - 1) / 2).
+            half = order // 2
+            zech = [0] * (2 * order)
+            for k in range(order):
+                x = exp[k]
+                zech[k] = -1 if k == half else log[x + 1 if x % p != p - 1 else x + 1 - p]
+            zech[order:] = zech[:order]
+
+            def add(a, b):
+                if a and b:
+                    la = log[a]
+                    z = zech[log[b] - la]
+                    return exp[la + z] if z >= 0 else 0
+                return a or b
+
+            def neg(a):
+                if a:
+                    return exp[log[a] + half]
+                return 0
+
+            def sub(a, b):
+                return add(a, exp[log[b] + half] if b else 0)
 
         self.add, self.sub, self.neg = add, sub, neg
         self.mul, self.inv, self.div = mul, inv, div
-
-        if q <= _TABLE_LIMIT:
-            add_t = [[add(a, b) for b in range(q)] for a in range(q)]
-            mul_t = [[mul(a, b) for b in range(q)] for a in range(q)]
-            neg_t = [neg(a) for a in range(q)]
-            inv_t = [0] + [inv(a) for a in range(1, q)]
-
-            def addt(a, b):
-                return add_t[a][b]
-
-            def subt(a, b):
-                return add_t[a][neg_t[b]]
-
-            def negt(a):
-                return neg_t[a]
-
-            def mult(a, b):
-                return mul_t[a][b]
-
-            def invt(a):
-                if a == 0:
-                    raise DivisionByZeroError("inverse of zero")
-                return inv_t[a]
-
-            def divt(a, b):
-                return mul_t[a][invt(b)]
-
-            self.add, self.sub, self.neg = addt, subt, negt
-            self.mul, self.inv, self.div = mult, invt, divt
-            self.add_table = add_t
-            self.mul_table = mul_t
 
     def pow(self, a, n):
         """a raised to an integer power; negative exponents invert first."""
@@ -401,12 +441,6 @@ class FiniteField:
     def elements(self):
         """All q elements, ascending by canonical encoding (0 first, then 1)."""
         return range(self.q)
-
-    def check_element(self, x):
-        """Validate that x is an element encoding; returns x."""
-        if not isinstance(x, int) or not 0 <= x < self.q:
-            raise ValueError(f"{x!r} is not an element encoding of {self}")
-        return x
 
     # -- identity ---------------------------------------------------------
 

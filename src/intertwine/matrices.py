@@ -2,8 +2,10 @@
 
 Matrices are immutable values; row-major entry order is the single
 vectorization convention used throughout the library.  The characteristic
-polynomial is computed division-free (Berkowitz), which is valid in every
-characteristic.
+polynomial comes from a similarity reduction to upper Hessenberg form and
+the Hessenberg determinant recurrence, O(n^3) field operations in every
+characteristic.  Products and elimination over small fields run on
+byte-packed rows (``_packed``).
 """
 
 from __future__ import annotations
@@ -41,6 +43,17 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.entries = entries
+
+    @classmethod
+    def _raw(cls, field, nrows, ncols, entries):
+        """A matrix from entries already known to be valid encodings of the
+        right count, such as the result of arithmetic on matrices; no check."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m.entries = tuple(entries)
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -88,11 +101,6 @@ class Matrix:
         ent[i * ncols + j] = 1
         return cls(field, nrows, ncols, ent)
 
-    @classmethod
-    def from_vector(cls, field, nrows, ncols, vec):
-        """Reshape a row-major vector of length nrows*ncols."""
-        return cls(field, nrows, ncols, vec)
-
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, ij):
@@ -133,8 +141,8 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise SizeMismatchError("matrix addition needs equal shapes")
         add = self.field.add
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._raw(self.field, self.nrows, self.ncols,
+                           [add(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -143,12 +151,12 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise SizeMismatchError("matrix subtraction needs equal shapes")
         sub = self.field.sub
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._raw(self.field, self.nrows, self.ncols,
+                           [sub(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
         neg = self.field.neg
-        return Matrix(self.field, self.nrows, self.ncols, [neg(a) for a in self.entries])
+        return Matrix._raw(self.field, self.nrows, self.ncols, [neg(a) for a in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -159,9 +167,12 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         f = self.field
-        add, mul = f.add, f.mul
         n, m, k = self.nrows, self.ncols, other.ncols
         a, b = self.entries, other.entries
+        packed = _packed._matmul(f, n, m, k, a, b)
+        if packed is not None:
+            return Matrix._raw(f, n, k, packed)
+        add, mul = f.add, f.mul
         out = [0] * (n * k)
         for i in range(n):
             arow = a[i * m:(i + 1) * m]
@@ -173,7 +184,7 @@ class Matrix:
                     for j in range(k):
                         if brow[j]:
                             out[base + j] = add(out[base + j], mul(c, brow[j]))
-        return Matrix(f, n, k, out)
+        return Matrix._raw(f, n, k, out)
 
     def scale(self, c: int):
         mul = self.field.mul
@@ -182,8 +193,8 @@ class Matrix:
     def transpose(self):
         n, m = self.nrows, self.ncols
         e = self.entries
-        return Matrix(self.field, m, n,
-                      [e[i * m + j] for j in range(m) for i in range(n)])
+        return Matrix._raw(self.field, m, n,
+                           [e[i * m + j] for j in range(m) for i in range(n)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -204,7 +215,7 @@ class Matrix:
         packed = _packed._rref(self.field, self.nrows, self.ncols, self.entries)
         if packed is not None:
             flat, rank, pivots = packed
-            return Matrix(self.field, self.nrows, self.ncols, flat), rank, pivots
+            return Matrix._raw(self.field, self.nrows, self.ncols, flat), rank, pivots
         f = self.field
         sub, mul, inv = f.sub, f.mul, f.inv
         n, m = self.nrows, self.ncols
@@ -233,7 +244,7 @@ class Matrix:
             pivots.append(c)
             r += 1
         flat = [v for row in rows for v in row]
-        return Matrix(f, n, m, flat), r, tuple(pivots)
+        return Matrix._raw(f, n, m, flat), r, tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -255,7 +266,7 @@ class Matrix:
                 coef = reduced.entries[rr * m + free]
                 if coef:
                     v[pc] = neg(coef)
-            basis.append(Matrix(f, m, 1, v))
+            basis.append(Matrix._raw(f, m, 1, v))
         return basis
 
     def inverse(self):
@@ -267,7 +278,7 @@ class Matrix:
             row = list(self.row(i)) + [0] * n
             row[n + i] = 1
             aug_rows.append(row)
-        aug = Matrix.from_rows(f, aug_rows)
+        aug = Matrix._raw(f, n, 2 * n, [v for row in aug_rows for v in row])
         reduced, _, pivots = aug.rref()
         # invertible exactly when every pivot lands in the left block
         if pivots[:n] != tuple(range(n)):
@@ -275,52 +286,71 @@ class Matrix:
         ent = []
         for i in range(n):
             ent.extend(reduced.entries[i * 2 * n + n:(i + 1) * 2 * n])
-        return Matrix(f, n, n, ent)
+        return Matrix._raw(f, n, n, ent)
 
     # -- characteristic polynomial ------------------------------------------------
 
     def charpoly(self) -> Poly:
-        """det(tI - M), monic of degree n, by the Berkowitz iteration."""
+        """det(tI - M), monic of degree n.
+
+        The matrix is first brought to upper Hessenberg form H by similarity:
+        for each column j, a row below the subdiagonal with a nonzero entry
+        is swapped into row j + 1 (and the same columns swapped), then each
+        lower row i loses u times row j + 1 while column j + 1 gains u times
+        column i.  The leading principal minors p_m of tI - H then satisfy
+        p_m = (t - h_mm) p_(m-1) - sum_i h_im (prod_(i<j<=m) h_(j,j-1)) p_(i-1)
+        (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+        """
         if not self.is_square:
             raise NotSquareError("characteristic polynomial needs a square matrix")
         f = self.field
         n = self.nrows
-        if n == 0:
-            return Poly.one(f)
-        add, mul, neg = f.add, f.mul, f.neg
-        ent = self.entries
-        p = [1, neg(ent[0])]  # descending coefficients for the leading 1x1 block
-        for r in range(1, n):
-            col = [ent[i * n + r] for i in range(r)]
-            row = [ent[r * n + j] for j in range(r)]
-            c = [1, neg(ent[r * n + r])]
-            w = col
-            for k in range(1, r + 1):
-                acc = 0
-                for t in range(r):
-                    if row[t] and w[t]:
-                        acc = add(acc, mul(row[t], w[t]))
-                c.append(neg(acc))
-                if k < r:
-                    w2 = [0] * r
-                    for i in range(r):
-                        acc = 0
-                        base = i * n
-                        for t in range(r):
-                            a = ent[base + t]
-                            if a and w[t]:
-                                acc = add(acc, mul(a, w[t]))
-                        w2[i] = acc
-                    w = w2
-            new_p = [0] * (r + 2)
-            for i, ci in enumerate(c):
-                if ci:
-                    for j, pj in enumerate(p):
-                        idx = i + j
-                        if idx < r + 2 and pj:
-                            new_p[idx] = add(new_p[idx], mul(ci, pj))
-            p = new_p
-        return Poly(f, list(reversed(p)))
+        add, sub, mul, neg, inv = f.add, f.sub, f.mul, f.neg, f.inv
+        h = [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
+        for j in range(n - 2):
+            piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+            if piv is None:
+                continue
+            k = j + 1
+            if piv != k:
+                h[piv], h[k] = h[k], h[piv]
+                for row in h:
+                    row[piv], row[k] = row[k], row[piv]
+            top = h[k]
+            iv = inv(top[j])
+            for i in range(k + 1, n):
+                row = h[i]
+                if row[j]:
+                    u = mul(row[j], iv)
+                    for c in range(j, n):
+                        if top[c]:
+                            row[c] = sub(row[c], mul(u, top[c]))
+                    for r in h:
+                        if r[i]:
+                            r[k] = add(r[k], mul(u, r[i]))
+        # polys[m] holds the ascending coefficients of p_m
+        polys = [[1]]
+        for m in range(n):
+            prev = polys[m]
+            c = neg(h[m][m])
+            cur = [0] + prev
+            if c:
+                for d, v in enumerate(prev):
+                    if v:
+                        cur[d] = add(cur[d], mul(c, v))
+            prod = 1
+            for i in range(m - 1, -1, -1):
+                prod = mul(prod, h[i + 1][i])
+                if not prod:
+                    break
+                coef = mul(prod, h[i][m])
+                if coef:
+                    c = neg(coef)
+                    for d, v in enumerate(polys[i]):
+                        if v:
+                            cur[d] = add(cur[d], mul(c, v))
+            polys.append(cur)
+        return Poly(f, polys[n])
 
 
 def poly_eval(f: Poly, m: Matrix) -> Matrix:
@@ -362,7 +392,7 @@ def direct_sum(blocks, field=None) -> Matrix:
             ent[base:base + b.ncols] = b.row(i)
         roff += b.nrows
         coff += b.ncols
-    return Matrix(field, nrows, ncols, ent)
+    return Matrix._raw(field, nrows, ncols, ent)
 
 
 def complete_invertible(field, vectors, n, mode="rows") -> Matrix:

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from intertwine import FiniteField, Matrix, Partition
+from intertwine import FiniteField, Matrix, Partition, Poly
 
 _FIELD_CACHE = {}
 
@@ -101,3 +101,45 @@ def reference_min_distance(code):
         if best == 1:
             break
     return best
+
+
+def reference_charpoly(m):
+    """det(tI - M) by the division-free Berkowitz iteration, O(n^4)."""
+    f = m.field
+    n = m.nrows
+    if n == 0:
+        return Poly.one(f)
+    add, mul, neg = f.add, f.mul, f.neg
+    ent = m.entries
+    p = [1, neg(ent[0])]  # descending coefficients for the leading 1x1 block
+    for r in range(1, n):
+        col = [ent[i * n + r] for i in range(r)]
+        row = [ent[r * n + j] for j in range(r)]
+        c = [1, neg(ent[r * n + r])]
+        w = col
+        for k in range(1, r + 1):
+            acc = 0
+            for t in range(r):
+                if row[t] and w[t]:
+                    acc = add(acc, mul(row[t], w[t]))
+            c.append(neg(acc))
+            if k < r:
+                w2 = [0] * r
+                for i in range(r):
+                    acc = 0
+                    base = i * n
+                    for t in range(r):
+                        a = ent[base + t]
+                        if a and w[t]:
+                            acc = add(acc, mul(a, w[t]))
+                    w2[i] = acc
+                w = w2
+        new_p = [0] * (r + 2)
+        for i, ci in enumerate(c):
+            if ci:
+                for j, pj in enumerate(p):
+                    idx = i + j
+                    if idx < r + 2 and pj:
+                        new_p[idx] = add(new_p[idx], mul(ci, pj))
+        p = new_p
+    return Poly(f, list(reversed(p)))

@@ -1,6 +1,7 @@
 """Finite field construction, canonical encodings, and exact arithmetic."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from intertwine import (
     FiniteField,
     NotPrimeError,
 )
+from intertwine.fields import _vector_ops
 from support import get_field
 
 SMALL_ORDERS = [2, 3, 4, 5, 8, 9]
@@ -144,12 +146,12 @@ def test_supported_size_limits():
         FiniteField(2, 40)
 
 
-@pytest.mark.parametrize("q", [343, 512])
+@pytest.mark.parametrize("q", [3**11, 2**17])
 def test_arithmetic_beyond_the_table_limit(q):
-    # orders above 256 compute on coefficient vectors instead of tables
+    # orders above 2^16 compute on coefficient vectors instead of log tables
     f = get_field(q)
-    assert f.add_table is None and f.mul_table is None
-    rng = __import__("random").Random(q)
+    assert f._log is None
+    rng = random.Random(q)
     samples = [rng.randrange(q) for _ in range(25)]
     for a in samples:
         assert f.pow(a, q) == a
@@ -160,3 +162,28 @@ def test_arithmetic_beyond_the_table_limit(q):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.mul(a, b) == f.mul(b, a)
         assert f.sub(a, b) == f.add(a, f.neg(b))
+
+
+def _samples(f, rng, count):
+    minus_one = f.neg(1)
+    return sorted({0, 1, f.p, minus_one, f.q - 1} | {rng.randrange(f.q) for _ in range(count)})
+
+
+@pytest.mark.parametrize("q", [4, 9, 256, 1024, 3**5, 2**16, 2**17])
+def test_field_ops_match_coefficient_vectors(q):
+    # log/antilog (and Zech) tables up to 2^16, coefficient vectors above
+    f = get_field(q)
+    assert (f._log is None) == (q > 2**16)
+    add, sub, neg, mul = _vector_ops(f.p, f.e, f.modulus)
+    rng = random.Random(q)
+    elems = list(f.elements()) if q <= 9 else _samples(f, rng, 80)
+    for a in elems:
+        assert f.neg(a) == neg(a)
+        if a:
+            assert mul(f.inv(a), a) == 1
+        for b in elems:
+            assert f.add(a, b) == add(a, b)
+            assert f.sub(a, b) == sub(a, b)
+            assert f.mul(a, b) == mul(a, b)
+            if b:
+                assert mul(f.div(a, b), b) == a

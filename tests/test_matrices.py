@@ -21,7 +21,7 @@ from intertwine import (
     direct_sum,
     poly_eval,
 )
-from support import get_field, rand_matrix
+from support import get_field, rand_matrix, reference_charpoly
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -282,3 +282,131 @@ def test_kernel_matches_list_loop(m):
     with mock.patch.object(_packed, "_rref", lambda *args: None):
         reference = kernel_results(m)
     assert results == reference
+
+
+# Characteristic polynomial against the Berkowitz reference.  Besides dense
+# matrices, the shapes below leave zero entries under the subdiagonal, so the
+# Hessenberg reduction must pivot or skip a column and the recurrence meets
+# zero subdiagonal entries.
+CHARPOLY_ORDERS = (2, 4, 16, 256, 5, 127, 9, 1024, 131)
+CHARPOLY_SHAPES = ("dense", "zero", "nilpotent", "derogatory", "block diagonal")
+
+
+def permutation_matrix(f, perm):
+    n = len(perm)
+    ent = [0] * (n * n)
+    for i, j in enumerate(perm):
+        ent[i * n + j] = 1
+    return Matrix(f, n, n, ent)
+
+
+@st.composite
+def charpoly_matrices(draw):
+    f = get_field(draw(st.sampled_from(CHARPOLY_ORDERS)))
+    shape = draw(st.sampled_from(CHARPOLY_SHAPES))
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+
+    def square(size):
+        return Matrix(f, size, size, draw(st.lists(entry, min_size=size * size,
+                                                   max_size=size * size)))
+
+    if shape == "dense":
+        m = square(n)
+    elif shape == "zero":
+        m = Matrix.zero(f, n, n)
+    elif shape == "nilpotent":
+        m = square(n)
+        m = Matrix(f, n, n, [v if j > i else 0 for i, row in enumerate(m.rows())
+                             for j, v in enumerate(row)])
+    elif shape == "derogatory":
+        # a repeated block shares its minimal polynomial, so the matrix is
+        # not cyclic
+        block = square(draw(st.integers(1, 3)))
+        m = direct_sum([block] * draw(st.integers(1, 2)) + [square(draw(st.integers(0, 1)))])
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        m = direct_sum([square(size) for size in sizes])
+    if draw(st.booleans()):
+        perm = permutation_matrix(f, draw(st.permutations(range(m.nrows))))
+        m = perm * m * perm.transpose()
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(charpoly_matrices())
+def test_charpoly_matches_berkowitz(m):
+    assert m.charpoly() == reference_charpoly(m)
+
+
+def test_charpoly_of_permuted_block_matrices():
+    # zero columns below the subdiagonal at every stage, and pivots away from
+    # the subdiagonal after the permutation
+    rng = random.Random(43)
+    for q in CHARPOLY_ORDERS:
+        f = get_field(q)
+        blocks = [rand_matrix(rng, f, size, size) for size in (1, 3, 2, 1)]
+        m = direct_sum(blocks + [Matrix.zero(f, 2, 2)])
+        perm = list(range(m.nrows))
+        rng.shuffle(perm)
+        p = permutation_matrix(f, perm)
+        expected = Poly.one(f)
+        for b in blocks:
+            expected = expected * reference_charpoly(b)
+        expected = expected * Poly(f, (0, 0, 1))
+        assert (p * m * p.transpose()).charpoly() == m.charpoly() == expected
+
+
+def list_matmul(a, b):
+    with mock.patch.object(_packed, "_matmul", lambda *args: None):
+        return a * b
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_matrices(), st.integers(0, 6), st.data())
+def test_matmul_matches_list_loop(a, k, data):
+    f = a.field
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q - 1))
+    b = Matrix(f, a.ncols, k, data.draw(st.lists(entry, min_size=a.ncols * k,
+                                                  max_size=a.ncols * k)))
+    assert a * b == list_matmul(a, b)
+
+
+@pytest.mark.parametrize("q, m", [(3, 300), (5, 70), (127, 3), (127, 40)])
+def test_matmul_reduces_long_dense_sums(q, m):
+    # the first row of a and the first column of b are all p - 1, so a byte
+    # of the sum would pass 255 after 255 // (p - 1) terms without a reduction
+    f = get_field(q)
+    rng = random.Random(q * m)
+    a = Matrix(f, 2, m, [q - 1] * m + [rng.randrange(q) for _ in range(m)])
+    b = Matrix(f, m, 3, [v for _ in range(m) for v in (q - 1, rng.randrange(q), q - 1)])
+    assert m > 255 // (q - 1)
+    assert a * b == list_matmul(a, b)
+    assert (a * b)[0, 0] == m % q
+
+
+def test_packed_matmul_covers_exactly_the_small_fields():
+    for q in PACKED_ORDERS:
+        assert _packed._matmul(get_field(q), 1, 1, 1, (1,), (1,)) is not None
+    for q in LIST_ORDERS:
+        assert _packed._matmul(get_field(q), 1, 1, 1, (1,), (1,)) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 131])
+def test_charpoly_and_rank_match_sympy(p):
+    sympy_matrices = pytest.importorskip("sympy.polys.matrices")
+    domain = pytest.importorskip("sympy").GF(p)
+    f = get_field(p)
+    rng = random.Random(p)
+    for _ in range(12):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = rand_matrix(rng, f, nrows, ncols)
+        if rng.random() < 0.3:  # rank deficient
+            inner = rng.randint(0, min(nrows, ncols) - 1)
+            m = rand_matrix(rng, f, nrows, inner) * rand_matrix(rng, f, inner, ncols)
+        ref = sympy_matrices.DomainMatrix([[domain(v) for v in row] for row in m.rows()],
+                                          (nrows, ncols), domain)
+        assert m.rank() == ref.rank()
+        if nrows == ncols:
+            expected = [int(c) % p for c in reversed(ref.charpoly())]
+            assert list(m.charpoly().coeffs) == expected
