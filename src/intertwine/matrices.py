@@ -294,10 +294,11 @@ class Matrix:
         """det(tI - M), monic of degree n.
 
         The matrix is first brought to upper Hessenberg form H by similarity:
-        for each column j, a row below the subdiagonal with a nonzero entry
-        is swapped into row j + 1 (and the same columns swapped), then each
-        lower row i loses u times row j + 1 while column j + 1 gains u times
-        column i.  The leading principal minors p_m of tI - H then satisfy
+        for each column j, the first row at or below j + 1 with a nonzero
+        entry in column j is swapped into row j + 1 (and the same columns
+        swapped), then each lower row i loses u times row j + 1 while column
+        j + 1 gains u times column i.  The leading principal minors p_m of
+        tI - H (1-based) then satisfy
         p_m = (t - h_mm) p_(m-1) - sum_i h_im (prod_(i<j<=m) h_(j,j-1)) p_(i-1)
         (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
         """
