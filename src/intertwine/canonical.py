@@ -43,12 +43,6 @@ class PrimaryDecomposition:
     size: int
     components: tuple[PrimaryComponent, ...]
 
-    def component(self, irr: Poly) -> PrimaryComponent | None:
-        for c in self.components:
-            if c.irr == irr:
-                return c
-        return None
-
 
 def primary_decomposition(a: Matrix, seed: int = 0) -> PrimaryDecomposition:
     """Split a square matrix into (irreducible, multiplicity, partition) data.

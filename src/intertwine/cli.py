@@ -24,9 +24,8 @@ from .errors import (
     BudgetExceededError,
     IntertwineError,
     InternalInconsistencyError,
-    NotPrimeError,
 )
-from .fields import FiniteField, is_prime
+from .fields import FiniteField
 from . import serialize
 
 EXIT_OK = 0
@@ -147,34 +146,13 @@ def _load_pairs(paths):
 
 
 def _parse_order(text) -> FiniteField:
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        try:
-            p, e = int(base), int(exp)
-        except ValueError as exc:
-            raise UsageError(f"cannot parse field order {text!r}") from exc
-        return FiniteField(p, e)
+    base, caret, exp = text.partition("^")
     try:
-        n = int(text)
+        n = int(base)
+        e = int(exp) if caret else None
     except ValueError as exc:
         raise UsageError(f"cannot parse field order {text!r}") from exc
-    if n < 2:
-        raise NotPrimeError(n)
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    e = 0
-    m = n
-    while m % p == 0 and m > 1:
-        m //= p
-        e += 1
-    if m != 1 or not is_prime(p):
-        raise NotPrimeError(n)
-    return FiniteField(p, e)
+    return FiniteField.of_order(n) if e is None else FiniteField(n, e)
 
 
 def _resolve_field(args) -> FiniteField:

@@ -9,7 +9,6 @@ Kronecker-product vectorization convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._packed import _row_ops
 from .canonical import primary_decomposition, spectral_summary
@@ -29,29 +28,18 @@ from .polys import Poly, gcd
 DEFAULT_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """[n, k, d] parameters with the exact rate k/n."""
-
-    n: int
-    k: int
-    d: int
-    rate: Fraction
-
-
 class IntertwiningCode:
     """A subspace of r x s matrices as a linear code of length n = r*s.
 
     The stored basis is canonical: the row-major vectorizations form a
     reduced-row-echelon basis, so two instances describe the same subspace
-    exactly when their bases compare equal.  ``d`` and ``d_budget`` record a
-    computed minimum distance and the enumeration budget used for it; they do
-    not participate in equality.
+    exactly when their bases compare equal.  The minimum distance is not
+    stored: ``min_distance`` computes it.
     """
 
-    __slots__ = ("field", "r", "s", "basis", "d", "d_budget")
+    __slots__ = ("field", "r", "s", "basis")
 
-    def __init__(self, field, r, s, basis, d=None, d_budget=None):
+    def __init__(self, field, r, s, basis):
         if r < 1 or s < 1:
             raise SizeMismatchError("codes need positive block dimensions")
         mats = []
@@ -65,8 +53,6 @@ class IntertwiningCode:
         self.r = r
         self.s = s
         self.basis = _canonical_basis(field, r, s, mats)
-        self.d = d
-        self.d_budget = d_budget
 
     @property
     def k(self) -> int:
@@ -91,14 +77,6 @@ class IntertwiningCode:
                         acc[i] = add(acc[i], mul(c, v))
         return Matrix(f, self.r, self.s, acc)
 
-    def with_distance(self, d, budget) -> "IntertwiningCode":
-        return IntertwiningCode(self.field, self.r, self.s, self.basis, d, budget)
-
-    def params(self) -> CodeParams:
-        if self.d is None:
-            raise ValueError("minimum distance has not been computed")
-        return CodeParams(self.n, self.k, self.d, Fraction(self.k, self.n))
-
     def __eq__(self, other):
         if not isinstance(other, IntertwiningCode):
             return NotImplemented
@@ -109,7 +87,7 @@ class IntertwiningCode:
         return hash((self.field, self.r, self.s, self.basis))
 
     def __repr__(self):
-        return f"IntertwiningCode({self.field}, r={self.r}, s={self.s}, k={self.k}, d={self.d})"
+        return f"IntertwiningCode({self.field}, r={self.r}, s={self.s}, k={self.k})"
 
 
 def _canonical_basis(field, r, s, mats):

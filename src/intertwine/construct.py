@@ -55,21 +55,18 @@ class Certificate:
     transposed: bool = False
 
 
-def _seed_scalars(r, s, k, field):
+def _seed(r, s, k, field, need):
+    # (A0, B0, zetas, alpha, beta) after checking k and that q >= need
     if not 1 <= k <= min(r, s):
         raise BadKError(f"k must satisfy 1 <= k <= min({r}, {s}), got {k}")
-    need = k + (1 if r > k else 0) + (1 if s > k else 0)
     if field.q < need:
         raise FieldTooSmallError(need, field.q)
     zetas = tuple(range(k))
-    nxt = k
-    alpha = beta = None
-    if r > k:
-        alpha = nxt
-        nxt += 1
-    if s > k:
-        beta = nxt
-    return zetas, alpha, beta
+    alpha = k if r > k else None
+    beta = k + (r > k) if s > k else None
+    a0 = Matrix.diagonal(field, list(zetas) + [alpha] * (r - k))
+    b0 = Matrix.diagonal(field, list(zetas) + [beta] * (s - k))
+    return a0, b0, zetas, alpha, beta
 
 
 def diagonal_seed(r, s, k, field) -> tuple[Matrix, Matrix]:
@@ -80,10 +77,7 @@ def diagonal_seed(r, s, k, field) -> tuple[Matrix, Matrix]:
     the diagonals sit at positions (l, l) for l <= k.  Scalars are the first
     admissible elements in canonical order.
     """
-    zetas, alpha, beta = _seed_scalars(r, s, k, field)
-    a0 = Matrix.diagonal(field, list(zetas) + [alpha] * (r - k))
-    b0 = Matrix.diagonal(field, list(zetas) + [beta] * (s - k))
-    return a0, b0
+    return _seed(r, s, k, field, k + (r > k) + (s > k))[:2]
 
 
 def _choose_gamma(field, s, k):
@@ -109,12 +103,7 @@ def construct_code(r, s, k, field, *, check=True, budget=DEFAULT_BUDGET) -> Cert
     the kernel oracle, and the distance is re-verified exhaustively whenever
     q^k - 1 fits in the budget.
     """
-    if not 1 <= k <= min(r, s):
-        raise BadKError(f"k must satisfy 1 <= k <= min({r}, {s}), got {k}")
-    if field.q < k + 2:
-        raise FieldTooSmallError(k + 2, field.q)
-    a0, b0 = diagonal_seed(r, s, k, field)
-    zetas, alpha, beta = _seed_scalars(r, s, k, field)
+    a0, b0, zetas, alpha, beta = _seed(r, s, k, field, k + 2)
 
     width = r // k
     blocks = []
@@ -185,9 +174,6 @@ def construct_extremal(r, s, field, *, check=True, budget=DEFAULT_BUDGET) -> Cer
     that X -> X^T maps the code of (A, B) onto the code of (B^T, A^T) with
     weights preserved.
     """
-    k = min(r, s)
-    if field.q < k + 2:
-        raise FieldTooSmallError(k + 2, field.q)
     if r <= s:
         return construct_code(r, s, r, field, check=check, budget=budget)
     base = construct_code(s, r, s, field, check=check, budget=budget)

@@ -6,6 +6,11 @@ encoded as c_0 + c_1*p + ... + c_{e-1}*p^(e-1).  Encodings 0 and 1 are the
 additive and multiplicative identities, 0..p-1 is the prime subfield, and
 enumerating by encoding gives the canonical element order used wherever a
 construction has to pick "the first" scalars deterministically.
+
+An extension field is defined modulo a monic irreducible of degree e over
+GF(p); ``polys.is_irreducible`` both validates a supplied modulus and picks
+the default one.  ``FiniteField.of_order`` turns a prime power q into GF(q).
+Orders above 2^31 are rejected before any trial division.
 """
 
 from __future__ import annotations
@@ -18,23 +23,8 @@ _LOG_TABLE_LIMIT = 1 << 16
 _ORDER_LIMIT = 1 << 31
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for the supported range."""
-    if n < 2:
-        return False
-    for d in (2, 3):
-        if n % d == 0:
-            return n == d
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
-
-
 def prime_divisors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending."""
+    """Distinct prime divisors of n, ascending; empty for n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -42,114 +32,42 @@ def prime_divisors(n: int) -> list[int]:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over GF(p) on raw coefficient lists.  Just enough to
-# select and validate extension moduli; the general machinery lives in polys.
-
-def _pp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def is_prime(n: int) -> bool:
+    """Primality by trial division, adequate for the supported range."""
+    return prime_divisors(n) == [n]
 
 
-def _pp_mulmod(a, b, f, p):
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    deg_f = len(f) - 1
-    for i in range(len(prod) - 1, deg_f - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            off = i - deg_f
-            for j in range(deg_f):
-                if f[j]:
-                    prod[off + j] = (prod[off + j] - c * f[j]) % p
-    del prod[deg_f:]
-    return _pp_trim(prod)
+def _modulus(p, e, modulus):
+    """The supplied modulus, validated, or by default the least monic
+    irreducible of degree e, ordered by the encoding of its non-leading
+    coefficients as ascending base-p digits."""
+    # polys imports this module, so it can only be imported at call time
+    from .polys import Poly, is_irreducible
 
-
-def _pp_powmod(a, n, f, p):
-    result = [1]
-    base = _pp_mulmod(a, [1], f, p)
-    while n:
-        if n & 1:
-            result = _pp_mulmod(result, base, f, p)
-        n >>= 1
-        if n:
-            base = _pp_mulmod(base, base, f, p)
-    return result
-
-
-def _pp_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _pp_trim(out)
-
-
-def _pp_gcd(a, b, p):
-    a, b = _pp_trim(list(a)), _pp_trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], -1, p)
-        deg_b = len(b) - 1
-        r = list(a)
-        while r and len(r) - 1 >= deg_b:
-            c = (r[-1] * inv_lead) % p
-            off = len(r) - 1 - deg_b
-            for j in range(deg_b + 1):
-                r[off + j] = (r[off + j] - c * b[j]) % p
-            _pp_trim(r)
-        a, b = b, r
-    return a
-
-
-def _pp_is_irreducible(f, p):
-    # Rabin's test for monic f of degree m >= 1 over GF(p).
-    m = len(f) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    powers = {}
-    h = x
-    for i in range(1, m + 1):
-        h = _pp_powmod(h, p, f, p)
-        powers[i] = h
-    if powers[m] != x:
-        return False
-    for ell in prime_divisors(m):
-        g = _pp_gcd(_pp_sub(powers[m // ell], x, p), f, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _least_irreducible(p, e):
-    # Least monic irreducible of degree e, ordered by the encoding of the
-    # non-leading coefficients as ascending base-p digits.
-    for c in range(p**e):
-        digits = []
-        x = c
-        for _ in range(e):
-            digits.append(x % p)
-            x //= p
-        f = digits + [1]
-        if _pp_is_irreducible(f, p):
-            return tuple(f)
-    raise BadModulusError(f"no irreducible polynomial of degree {e} over GF({p})")
+    base = FiniteField(p)
+    if modulus is None:
+        for c in range(p**e):
+            mod = tuple(c // p**i % p for i in range(e)) + (1,)
+            if is_irreducible(Poly(base, mod)):
+                return mod
+    mod = tuple(modulus)
+    if len(mod) != e + 1:
+        raise BadModulusError(
+            f"modulus must have degree {e}: expected {e + 1} coefficients, got {len(mod)}"
+        )
+    if any(not isinstance(c, int) or not 0 <= c < p for c in mod):
+        raise BadModulusError(f"modulus coefficients must be integers in [0, {p})")
+    if mod[-1] != 1:
+        raise BadModulusError("modulus must be monic")
+    if not is_irreducible(Poly(base, mod)):
+        raise BadModulusError(f"modulus {list(mod)} is reducible over GF({p})")
+    return mod
 
 
 def _vector_ops(p, e, modulus):
@@ -239,6 +157,8 @@ class FiniteField:
         irreducible degree-e polynomial over GF(p).  Ignored when e == 1 and
         chosen automatically (least by encoding) when omitted.
 
+    ``FiniteField.of_order(q)`` builds the same field from its order q.
+
     The arithmetic callables ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and
     ``div`` are bound per instance.  Prime fields compute mod p.  Extension
     fields with q <= 2^16 read log/antilog tables over their least primitive
@@ -254,36 +174,36 @@ class FiniteField:
                  "div", "_log")
 
     def __init__(self, p, e=1, modulus=None):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise NotPrimeError(p)
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"extension degree must be a positive integer, got {e!r}")
-        if p >= _ORDER_LIMIT:
-            raise ValueError(f"characteristic {p} exceeds the supported bound 2^31")
-        q = p**e
-        if q > _ORDER_LIMIT:
-            raise ValueError(f"field order {q} exceeds the supported bound 2^31")
+        # Before is_prime, whose trial division would run for hours on a huge
+        # p; as p >= 2, e > 31 alone puts q above the bound.
+        if p >= _ORDER_LIMIT or e > 31 or p**e > _ORDER_LIMIT:
+            raise ValueError(f"field order {p}^{e} exceeds the supported bound 2^31")
+        if not is_prime(p):
+            raise NotPrimeError(p)
         self.p = p
         self.e = e
-        self.q = q
-        if e == 1:
-            self.modulus = None  # prime field: any supplied modulus is ignored
-        elif modulus is None:
-            self.modulus = _least_irreducible(p, e)
-        else:
-            mod = tuple(modulus)
-            if len(mod) != e + 1:
-                raise BadModulusError(
-                    f"modulus must have degree {e}: expected {e + 1} coefficients, got {len(mod)}"
-                )
-            if any(not isinstance(c, int) or not 0 <= c < p for c in mod):
-                raise BadModulusError(f"modulus coefficients must be integers in [0, {p})")
-            if mod[-1] != 1:
-                raise BadModulusError("modulus must be monic")
-            if not _pp_is_irreducible(list(mod), p):
-                raise BadModulusError(f"modulus {list(mod)} is reducible over GF({p})")
-            self.modulus = mod
+        self.q = p**e
+        # a prime field ignores any supplied modulus
+        self.modulus = None if e == 1 else _modulus(p, e, modulus)
         self._install_ops()
+
+    @classmethod
+    def of_order(cls, q):
+        """GF(q) with the default modulus, for a prime power q."""
+        if q > _ORDER_LIMIT:
+            raise ValueError(f"field order {q} exceeds the supported bound 2^31")
+        primes = prime_divisors(q)
+        if len(primes) != 1:
+            raise NotPrimeError(q)
+        p = primes[0]
+        e = 1
+        while p**e < q:
+            e += 1
+        return cls(p, e)
 
     # -- arithmetic -------------------------------------------------------
 

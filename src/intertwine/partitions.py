@@ -1,9 +1,7 @@
-"""Integer partitions, conjugation, and the identities behind the dimension
-formula for nilpotent pairs."""
+"""Integer partitions, conjugation, and the conjugate-product pairing behind
+the dimension formula."""
 
 from __future__ import annotations
-
-from itertools import product as _cartesian
 
 from .errors import EmptyListError
 
@@ -61,20 +59,6 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
-def min_sum(partitions) -> int:
-    """Sum of min over every index tuple, one part per partition.
-
-    This is the direct multi-sum; conjugate_product evaluates the same
-    quantity as a single sum over conjugate parts.
-    """
-    ps = list(partitions)
-    if not ps:
-        raise EmptyListError("min_sum needs at least one partition")
-    if any(not p.parts for p in ps):
-        return 0
-    return sum(min(tup) for tup in _cartesian(*(p.parts for p in ps)))
-
-
 def conjugate_product(partitions) -> int:
     """Sum over i of the product of the i-th conjugate parts, i up to the
     least largest part."""
@@ -93,8 +77,3 @@ def conjugate_product(partitions) -> int:
         total += term
     return total
 
-
-def nilpotent_pair_dim(lam: Partition, mu: Partition) -> int:
-    """Dimension of the space of matrices intertwining the nilpotent model
-    matrices with block structures lam and mu, over any field."""
-    return conjugate_product([lam, mu])

@@ -2,18 +2,18 @@
 
 All builders return plain dict/list structures with a stable key order, so
 json.dumps output is byte-reproducible.  Parsers validate shape and raise
-ValueError with a readable message on malformed input; mathematical
-preconditions keep their dedicated exceptions.
+ValueError with a readable message on malformed input, where a JSON boolean
+never counts as an integer; mathematical preconditions keep their dedicated
+exceptions.  Codes carry no minimum distance: the "d" and "d_budget" keys
+that older versions wrote are ignored on input.
 """
 
 from __future__ import annotations
 
-from .canonical import PrimaryDecomposition
 from .codes import IntertwiningCode
 from .construct import Certificate, VerificationReport
 from .fields import FiniteField
 from .matrices import Matrix
-from .partitions import Partition
 from .polys import Factorization, Poly
 
 
@@ -23,8 +23,16 @@ def _require(obj, key, types, what):
     if key not in obj:
         raise ValueError(f"{what}: missing key {key!r}")
     val = obj[key]
-    if not isinstance(val, types):
+    # JSON true/false arrive as bool, which Python counts as an int
+    if not isinstance(val, types) or (types is int and isinstance(val, bool)):
         raise ValueError(f"{what}: key {key!r} has the wrong type")
+    return val
+
+
+def _optional_int(obj, key, what):
+    val = obj.get(key)
+    if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
+        raise ValueError(f"{what}: key {key!r} must be an integer or null")
     return val
 
 
@@ -100,16 +108,6 @@ def matrix_from_json(obj, fields=None) -> Matrix:
     return Matrix(field, nrows, ncols, flat)
 
 
-# -- partitions -----------------------------------------------------------------
-
-def partition_to_json(p: Partition) -> list:
-    return list(p.parts)
-
-
-def partition_from_json(obj) -> Partition:
-    return Partition(_int_list(obj, "partition"))
-
-
 # -- codes ------------------------------------------------------------------------
 
 def code_to_json(code: IntertwiningCode) -> dict:
@@ -119,37 +117,18 @@ def code_to_json(code: IntertwiningCode) -> dict:
         "s": code.s,
         "k": code.k,
         "basis": [matrix_to_json(m) for m in code.basis],
-        "d": code.d,
-        "d_budget": code.d_budget,
     }
 
 
 def code_from_json(obj) -> IntertwiningCode:
+    """Parse a code; like any other extra key, the "d" and "d_budget" keys
+    that older versions wrote are ignored."""
     fields = {}
     field = field_from_json(_require(obj, "field", dict, "code"), fields)
     r = _require(obj, "r", int, "code")
     s = _require(obj, "s", int, "code")
     basis = [matrix_from_json(m, fields) for m in _require(obj, "basis", list, "code")]
-    d = obj.get("d")
-    d_budget = obj.get("d_budget")
-    if d is not None and not isinstance(d, int):
-        raise ValueError("code: key 'd' must be an integer or null")
-    if d_budget is not None and not isinstance(d_budget, int):
-        raise ValueError("code: key 'd_budget' must be an integer or null")
-    return IntertwiningCode(field, r, s, basis, d, d_budget)
-
-
-# -- primary decompositions ----------------------------------------------------------
-
-def decomposition_to_json(dec: PrimaryDecomposition) -> list:
-    return [
-        {
-            "irr": poly_to_json(c.irr),
-            "mult": c.mult,
-            "partition": partition_to_json(c.partition),
-        }
-        for c in dec.components
-    ]
+    return IntertwiningCode(field, r, s, basis)
 
 
 # -- factorizations ---------------------------------------------------------------------
@@ -192,12 +171,8 @@ def certificate_to_json(cert: Certificate) -> dict:
 def certificate_from_json(obj) -> Certificate:
     fields = {}
     field = field_from_json(_require(obj, "field", dict, "certificate"), fields)
-    alpha = obj.get("alpha")
-    beta = obj.get("beta")
-    if alpha is not None and not isinstance(alpha, int):
-        raise ValueError("certificate: key 'alpha' must be an integer or null")
-    if beta is not None and not isinstance(beta, int):
-        raise ValueError("certificate: key 'beta' must be an integer or null")
+    alpha = _optional_int(obj, "alpha", "certificate")
+    beta = _optional_int(obj, "beta", "certificate")
     transposed = obj.get("transposed", False)
     if not isinstance(transposed, bool):
         raise ValueError("certificate: key 'transposed' must be a boolean")

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from itertools import product
+
 from intertwine import FiniteField, Matrix, Partition, Poly
 
 _FIELD_CACHE = {}
@@ -8,19 +10,25 @@ _FIELD_CACHE = {}
 def get_field(q):
     """Cached GF(q) for a prime power written as a plain integer."""
     if q not in _FIELD_CACHE:
-        p = 2
-        while p * p <= q and q % p:
-            p += 1
-        if q % p:
-            p = q
-        e = 0
-        m = q
-        while m > 1:
-            assert m % p == 0, f"{q} is not a prime power"
-            m //= p
-            e += 1
-        _FIELD_CACHE[q] = FiniteField(p, e)
+        _FIELD_CACHE[q] = FiniteField.of_order(q)
     return _FIELD_CACHE[q]
+
+
+def reference_is_irreducible(p, f):
+    """Brute force over GF(p): the monic f (ascending integer coefficients)
+    has no monic divisor of degree 1..deg(f) // 2."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for low in product(range(p), repeat=d):
+            g = list(low) + [1]
+            rem = list(f)
+            for top in range(m, d - 1, -1):
+                c = rem[top]
+                for j in range(d + 1):
+                    rem[top - d + j] = (rem[top - d + j] - c * g[j]) % p
+            if not any(rem):
+                return False
+    return True
 
 
 def rand_matrix(rng, field, nrows, ncols):
@@ -57,6 +65,12 @@ def partitions_of(n):
 
     for parts in gen(n, n):
         yield Partition(parts)
+
+
+def min_sum(partitions):
+    """Sum of min over every index tuple, one part per partition: the direct
+    multi-sum that conjugate_product evaluates over conjugate parts."""
+    return sum(min(tup) for tup in product(*(p.parts for p in partitions)))
 
 
 def reference_min_distance(code):

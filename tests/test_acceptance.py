@@ -14,6 +14,7 @@ from intertwine import (
     FiniteField,
     IntertwiningCode,
     Matrix,
+    NotPrimeError,
     Partition,
     Poly,
     conjugate_code,
@@ -25,15 +26,13 @@ from intertwine import (
     generalized_jordan_matrix,
     intertwiner_basis,
     is_irreducible,
-    is_prime,
     is_zero_code,
     min_distance,
-    min_sum,
     nilpotent_matrix,
     rank_bounds,
     spectral_bounds,
 )
-from support import get_field, rand_invertible, rand_matrix, rand_partition
+from support import get_field, min_sum, rand_invertible, rand_matrix, rand_partition
 
 ORACLE_ORDERS = (2, 3, 4, 5, 9)
 CONSTRUCTION_ORDERS = (5, 7, 8, 9)
@@ -82,27 +81,22 @@ def extremal_grid():
     grid = []
     for r in range(1, 6):
         for s in range(1, 6):
-            q = _next_prime_power(min(r, s) + 2)
-            cert = construct_extremal(r, s, get_field(q), check=False)
+            field = _least_field(min(r, s) + 2)
+            q = field.q
+            cert = construct_extremal(r, s, field, check=False)
             code = intertwiner_basis([cert.A], [cert.B])
             d = min_distance(code) if code.k else None
             grid.append((q, r, s, cert, code.k, d))
     return grid
 
 
-def _next_prime_power(n):
+def _least_field(n):
+    """GF(q) for the least prime power q >= n."""
     while True:
-        m = n
-        p = 2
-        while m % p and p * p <= m:
-            p += 1
-        if m % p:
-            p = m
-        while m % p == 0 and m > 1:
-            m //= p
-        if m == 1 and is_prime(p):
-            return n
-        n += 1
+        try:
+            return get_field(n)
+        except NotPrimeError:
+            n += 1
 
 
 def test_criterion_1_dimension_formula_matches_oracle(oracle_samples):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON I/O, exit codes, determinism."""
 
 import json
+import time
 
 from intertwine import (
     FiniteField,
@@ -221,20 +222,71 @@ def test_factor_command(tmp_path, capsys):
 
 
 def test_q_parsing(tmp_path, capsys):
-    code, out, _ = run(capsys, ["construct", "2", "2", "1", "--q", "2^3"])
-    assert code == 0
-    assert json.loads(out)["field"] == {"p": 2, "e": 3, "modulus": [1, 1, 0, 1]}
+    fields = {
+        "2^3": {"p": 2, "e": 3, "modulus": [1, 1, 0, 1]},
+        "9": {"p": 3, "e": 2, "modulus": [1, 0, 1]},
+        "256": {"p": 2, "e": 8, "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1]},
+    }
+    for q, field in fields.items():
+        code, out, _ = run(capsys, ["construct", "2", "2", "1", "--q", q])
+        assert code == 0, q
+        assert json.loads(out)["field"] == field
 
-    code, out, _ = run(capsys, ["construct", "2", "2", "1", "--q", "9"])
-    assert code == 0
-    assert json.loads(out)["field"]["p"] == 3
+    for q in ("abc", "2^x", "2^3^4"):
+        code, out, err = run(capsys, ["construct", "2", "2", "1", "--q", q])
+        assert (code, out) == (1, ""), q
+        assert "cannot parse field order" in err
+
+    for q in ("0", "1", "-4", "6", "12", "2^0", "2^-1", "4^2"):
+        code, out, err = run(capsys, ["construct", "2", "2", "1", "--q", q])
+        assert (code, out) == (2, ""), q
+        assert "Traceback" not in err
 
     code, _, err = run(capsys, ["construct", "2", "2", "1", "--q", "12"])
-    assert code == 2
     assert "prime" in err
 
-    code, _, err = run(capsys, ["construct", "2", "2", "1", "--q", "2^0"])
-    assert code == 2
+
+# 2^61 - 1 is prime: trial division up to its square root would run for hours.
+HUGE_PRIME = 2**61 - 1
+
+
+def test_huge_order_exits_at_once(capsys):
+    for q in (str(HUGE_PRIME), f"{HUGE_PRIME}^1", "2^1000000"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["construct", "2", "2", "1", "--q", q])
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, ""), q
+        assert "exceeds the supported bound" in err and "Traceback" not in err
+
+
+def test_huge_characteristic_in_a_file_exits_at_once(tmp_path, capsys):
+    # an out-of-range field in a file is a parse error of that file, like
+    # {"p": 2, "e": 40}
+    blob = {"field": {"p": HUGE_PRIME, "e": 1}, "rows": 1, "cols": 1, "entries": [[0]]}
+    path = write_json(tmp_path / "a.json", blob)
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["dim", path, path])
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert "exceeds the supported bound" in err and "Traceback" not in err
+
+
+def test_json_booleans_are_not_integers(tmp_path, capsys):
+    bool_e = serialize.matrix_to_json(Matrix.zero(F2, 1, 1))
+    bool_e["field"]["e"] = True
+    bool_rows = serialize.matrix_to_json(Matrix.zero(F2, 1, 1))
+    bool_rows["rows"] = True
+    for key, blob in (("e", bool_e), ("rows", bool_rows)):
+        path = write_json(tmp_path / "a.json", blob)
+        code, out, err = run(capsys, ["dim", path, path])
+        assert (code, out) == (1, ""), key
+        assert repr(key) in err and "Traceback" not in err
+
+    cert = serialize.certificate_to_json(construct_code(2, 2, 1, F5))
+    cert["k"] = True
+    code, out, err = run(capsys, ["verify", write_json(tmp_path / "cert.json", cert)])
+    assert (code, out) == (1, "")
+    assert "'k'" in err and "Traceback" not in err
 
 
 def test_usage_errors(tmp_path, capsys):

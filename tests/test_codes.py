@@ -1,7 +1,6 @@
 """Kernel oracle, dimension formula, distance enumeration, bounds, conjugation."""
 
 import random
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -410,18 +409,6 @@ def test_dimension_below_rank_upper_bound_invariant():
         b = rand_matrix(rng, F3, s, s)
         code = intertwiner_basis([a], [b])
         assert code.k <= rank_bounds(a, b)[1]
-
-
-def test_code_params_and_singleton():
-    full = intertwiner_basis([Matrix.zero(F2, 2, 2)], [Matrix.zero(F2, 2, 2)])
-    d = min_distance(full)
-    coded = full.with_distance(d, 1 << 24)
-    params = coded.params()
-    assert (params.n, params.k, params.d) == (4, 4, 1)
-    assert params.rate == Fraction(1)
-    assert params.d + params.k <= params.n + 1
-    with pytest.raises(ValueError):
-        full.params()
 
 
 def test_codeword_materializes_combinations():

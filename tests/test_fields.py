@@ -12,7 +12,7 @@ from intertwine import (
     NotPrimeError,
 )
 from intertwine.fields import _vector_ops
-from support import get_field
+from support import get_field, reference_is_irreducible
 
 SMALL_ORDERS = [2, 3, 4, 5, 8, 9]
 
@@ -31,6 +31,51 @@ def test_default_gf4_modulus_is_the_unique_irreducible_quadratic():
             rootless.append((c0, c1, 1))
     assert rootless == [(1, 1, 1)]
     assert FiniteField(2, 2).modulus == (1, 1, 1)
+
+
+# The modulus fixes every element encoding, and so every output byte.
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (3, 2): (1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p, e", sorted(DEFAULT_MODULI))
+def test_default_moduli_are_pinned(p, e):
+    assert FiniteField(p, e).modulus == DEFAULT_MODULI[p, e]
+    assert FiniteField.of_order(p**e) == FiniteField(p, e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_modulus_validation_matches_brute_force(p):
+    # every monic polynomial of degree 2..4 over GF(p)
+    for e in range(2, 5):
+        for low in itertools.product(range(p), repeat=e):
+            f = list(low) + [1]
+            try:
+                FiniteField(p, e, f)
+                accepted = True
+            except BadModulusError:
+                accepted = False
+            assert accepted == reference_is_irreducible(p, f), f
+
+
+def test_of_order():
+    assert FiniteField.of_order(2) == FiniteField(2)
+    assert FiniteField.of_order(2**31) == FiniteField(2, 31)
+    for q in (-4, 0, 1, 6, 12, 2**31 - 2):
+        with pytest.raises(NotPrimeError):
+            FiniteField.of_order(q)
+    # 2^61 - 1 is prime: trial division up to its square root takes hours
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        FiniteField.of_order(2**61 - 1)
 
 
 def test_composite_characteristic_rejected():
@@ -144,6 +189,10 @@ def test_field_equality_and_hash():
 def test_supported_size_limits():
     with pytest.raises(ValueError):
         FiniteField(2, 40)
+    # checked before the trial division, which would take hours on 2^61 - 1
+    for p, e in ((2**61 - 1, 1), (3, 10**12)):
+        with pytest.raises(ValueError, match="exceeds the supported bound"):
+            FiniteField(p, e)
 
 
 @pytest.mark.parametrize("q", [3**11, 2**17])

@@ -9,15 +9,11 @@ from intertwine import (
     BadModulusError,
     FiniteField,
     Matrix,
-    Partition,
     Poly,
     construct_code,
     construct_extremal,
     factor,
     intertwiner_basis,
-    min_distance,
-    nilpotent_matrix,
-    primary_decomposition,
     verify_certificate,
 )
 from intertwine import serialize
@@ -51,26 +47,15 @@ def test_matrix_roundtrip():
     assert serialize.matrix_to_json(m)["entries"] == [list(m.row(i)) for i in range(3)]
 
 
-def test_partition_roundtrip():
-    lam = Partition([3, 1, 1])
-    assert serialize.partition_from_json(serialize.partition_to_json(lam)) == lam
-
-
 def test_code_roundtrip_with_distance_metadata():
     code = intertwiner_basis([Matrix.zero(F2, 2, 2)], [Matrix.zero(F2, 2, 2)])
-    coded = code.with_distance(min_distance(code), 1 << 24)
-    back = roundtrip(serialize.code_to_json, serialize.code_from_json, coded)
-    assert back == coded
-    assert back.d == 1 and back.d_budget == 1 << 24
     blob = serialize.code_to_json(code)
-    assert blob["d"] is None and blob["k"] == 4
-
-
-def test_decomposition_json_shape():
-    dec = primary_decomposition(nilpotent_matrix(F2, Partition([2, 1])))
-    blob = serialize.decomposition_to_json(dec)
-    assert blob == [{"irr": {"field": {"p": 2, "e": 1}, "coeffs": [0, 1]},
-                     "mult": 3, "partition": [2, 1]}]
+    assert list(blob) == ["field", "r", "s", "k", "basis"]
+    assert roundtrip(serialize.code_to_json, serialize.code_from_json, code) == code
+    # files written by older versions carry the distance; it is ignored
+    for d, d_budget in ((1, 1 << 24), (None, None), ("x", True)):
+        old = dict(blob, d=d, d_budget=d_budget)
+        assert serialize.code_from_json(json.loads(json.dumps(old))) == code
 
 
 def test_factorization_json_shape():
@@ -108,6 +93,14 @@ def test_certificate_transposed_key():
         blob["transposed"] = bad
         with pytest.raises(ValueError, match="transposed"):
             serialize.certificate_from_json(blob)
+
+
+def test_certificate_scalars_reject_booleans():
+    blob = serialize.certificate_to_json(construct_code(3, 2, 1, F5))
+    assert serialize.certificate_from_json(blob).alpha == 1
+    for key in ("alpha", "beta"):
+        with pytest.raises(ValueError, match=key):
+            serialize.certificate_from_json(dict(blob, **{key: True}))
 
 
 def test_field_memo_never_stores_a_failed_field():
