@@ -133,15 +133,3 @@ def generalized_jordan_matrix(p: Poly, lam: Partition) -> Matrix:
         blocks.append(Matrix(field, size, size, ent))
     return direct_sum(blocks, field=field)
 
-
-def spectral_summary(a: Matrix, seed: int = 0):
-    """Per irreducible factor p of the characteristic polynomial, report
-    (p, deg p, eigenspace dimension per root, generalized dimension per root).
-
-    Over the algebraic closure every root of p has eigenspace dimension equal
-    to the number of parts of the component partition and generalized
-    eigenspace dimension equal to the multiplicity of p, so both bounds from
-    the spectral sandwich can be evaluated in base-field arithmetic.
-    """
-    dec = primary_decomposition(a, seed)
-    return [(c.irr, c.degree, len(c.partition), c.mult) for c in dec.components]

@@ -94,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     p.add_argument("k", type=int)
-    _add_common(p, field_opts=True, budget=True)
+    _add_common(p, field_opts=True)
     p.set_defaults(handler=_cmd_construct)
 
     p = subs.add_parser("extremal",
                         help="certificate for dimension min(r,s) and distance max(r,s)")
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
-    _add_common(p, field_opts=True, budget=True)
+    _add_common(p, field_opts=True)
     p.set_defaults(handler=_cmd_extremal)
 
     p = subs.add_parser("verify", help="recheck a construction certificate")
@@ -131,17 +131,18 @@ def _load_json(path, what):
         raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix(path):
+def _load(path, what, parse):
+    obj = _load_json(path, what)
     try:
-        return serialize.matrix_from_json(_load_json(path, "matrix"))
+        return parse(obj)
     except ValueError as exc:
-        raise UsageError(f"matrix file {path!r}: {exc}") from exc
+        raise UsageError(f"{what} file {path!r}: {exc}") from exc
 
 
 def _load_pairs(paths):
     if len(paths) % 2 or not paths:
         raise UsageError("matrix files must come in (A, B) pairs")
-    mats = [_load_matrix(p) for p in paths]
+    mats = [_load(p, "matrix", serialize.matrix_from_json) for p in paths]
     return mats[0::2], mats[1::2]
 
 
@@ -158,11 +159,7 @@ def _parse_order(text) -> FiniteField:
 def _resolve_field(args) -> FiniteField:
     if args.q is not None:
         return _parse_order(args.q)
-    obj = _load_json(args.field, "field")
-    try:
-        return serialize.field_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(f"field file {args.field!r}: {exc}") from exc
+    return _load(args.field, "field", serialize.field_from_json)
 
 
 def _emit(args, payload) -> None:
@@ -228,11 +225,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    obj = _load_json(args.code, "code")
-    try:
-        code = serialize.code_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(f"code file {args.code!r}: {exc}") from exc
+    code = _load(args.code, "code", serialize.code_from_json)
     d = min_distance(code, args.budget)
     _emit(args, {"d": d, "enumerated": code.field.q**code.k - 1})
     return EXIT_OK
@@ -260,24 +253,20 @@ def _cmd_zero(args) -> int:
 
 def _cmd_construct(args) -> int:
     field = _resolve_field(args)
-    cert = construct_code(args.r, args.s, args.k, field, budget=args.budget)
+    cert = construct_code(args.r, args.s, args.k, field)
     _emit(args, serialize.certificate_to_json(cert))
     return EXIT_OK
 
 
 def _cmd_extremal(args) -> int:
     field = _resolve_field(args)
-    cert = construct_extremal(args.r, args.s, field, budget=args.budget)
+    cert = construct_extremal(args.r, args.s, field)
     _emit(args, serialize.certificate_to_json(cert))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    obj = _load_json(args.certificate, "certificate")
-    try:
-        cert = serialize.certificate_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(f"certificate file {args.certificate!r}: {exc}") from exc
+    cert = _load(args.certificate, "certificate", serialize.certificate_from_json)
     report = verify_certificate(cert, args.budget)
     _emit(args, serialize.report_to_json(report))
     if not report.passed:
@@ -292,11 +281,7 @@ def _cmd_verify(args) -> int:
 def _cmd_factor(args) -> int:
     from .polys import factor
 
-    obj = _load_json(args.poly, "polynomial")
-    try:
-        poly = serialize.poly_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(f"polynomial file {args.poly!r}: {exc}") from exc
+    poly = _load(args.poly, "polynomial", serialize.poly_from_json)
     fact = factor(poly, args.seed)
     _emit(args, serialize.factorization_to_json(fact))
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._packed import _row_ops
-from .canonical import primary_decomposition, spectral_summary
+from .canonical import primary_decomposition
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -260,19 +260,23 @@ def rank_bounds(a: Matrix, b: Matrix) -> tuple[int, int]:
 def spectral_bounds(a: Matrix, b: Matrix, seed: int = 0) -> tuple[int, int]:
     """Eigenspace/generalized-eigenspace sandwich for the dimension.
 
-    Per shared irreducible factor p, each of its deg(p) closure roots
-    contributes (eigendim_a * eigendim_b) to the lower bound and
-    (mult_a * mult_b) to the upper bound.
+    Over the algebraic closure every root of an irreducible factor p of the
+    characteristic polynomial has eigenspace dimension equal to the number
+    of parts of p's component partition, and generalized eigenspace
+    dimension equal to the multiplicity of p.  So per shared irreducible p,
+    each of its deg(p) roots contributes (eigendim_a * eigendim_b) to the
+    lower bound and (mult_a * mult_b) to the upper bound, all evaluated in
+    base-field arithmetic.
     """
     _check_pair(a, b)
-    summary_a = {irr: (kdim, mdim) for irr, _, kdim, mdim in spectral_summary(a, seed)}
+    dec_a = primary_decomposition(a, seed)
+    by_irr = {c.irr: c for c in primary_decomposition(b, seed).components}
     lo = hi = 0
-    for irr, d, kb, mb in spectral_summary(b, seed):
-        got = summary_a.get(irr)
-        if got is not None:
-            ka, ma = got
-            lo += d * ka * kb
-            hi += d * ma * mb
+    for ca in dec_a.components:
+        cb = by_irr.get(ca.irr)
+        if cb is not None:
+            lo += ca.degree * len(ca.partition) * len(cb.partition)
+            hi += ca.degree * ca.mult * cb.mult
     return lo, hi
 
 

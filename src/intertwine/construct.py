@@ -95,13 +95,17 @@ def _choose_gamma(field, s, k):
     raise InternalInconsistencyError("no admissible gamma despite q >= k + 2")
 
 
-def construct_code(r, s, k, field, *, check=True, budget=DEFAULT_BUDGET) -> Certificate:
+def construct_code(r, s, k, field, *, check=True) -> Certificate:
     """Build a pair (A, B) whose code has dimension k and minimum distance
     floor(r/k) * s, together with the full witness data.
 
-    Requires q >= k + 2.  With check=True the dimension is re-verified with
-    the kernel oracle, and the distance is re-verified exhaustively whenever
-    q^k - 1 fits in the budget.
+    Requires q >= k + 2.  With check=True (the default) the certificate is
+    re-verified at every size: the codewords X_l must span the kernel-oracle
+    code of (A, B), and their pairwise disjoint supports must put the
+    lightest weight at the claimed distance; otherwise
+    InternalInconsistencyError is raised.  check=False skips this
+    self-check, whose oracle solves for r*s unknowns, so that shapes too
+    large for it can still be built.
     """
     a0, b0, zetas, alpha, beta = _seed(r, s, k, field, k + 2)
 
@@ -148,25 +152,37 @@ def construct_code(r, s, k, field, *, check=True, budget=DEFAULT_BUDGET) -> Cert
         row_blocks=tuple(blocks), claimed_d=width * s,
     )
     if check:
-        _self_check(cert, budget)
+        _self_check(cert)
     return cert
 
 
-def _self_check(cert, budget):
+def _self_check(cert):
+    # Both bases are canonical, so equality means the X_l span the oracle
+    # code; nonzero X_l with disjoint supports then make its dimension k.
     code = intertwiner_basis([cert.A], [cert.B])
-    if code.k != cert.k:
+    if IntertwiningCode(cert.field, cert.r, cert.s, cert.X) != code:
         raise InternalInconsistencyError(
-            f"constructed code has dimension {code.k}, expected {cert.k}"
+            f"constructed codewords do not span the oracle code of dimension {code.k}"
         )
-    if cert.field.q**cert.k - 1 <= budget:
-        d = min_distance(code, budget)
-        if d != cert.claimed_d:
-            raise InternalInconsistencyError(
-                f"constructed code has distance {d}, expected {cert.claimed_d}"
-            )
+    problem = _distance_problem(cert.X, cert.claimed_d)
+    if problem:
+        raise InternalInconsistencyError(f"constructed code: {problem}")
 
 
-def construct_extremal(r, s, field, *, check=True, budget=DEFAULT_BUDGET) -> Certificate:
+def _distance_problem(xs, claimed_d):
+    # For X_l spanning the code with pairwise disjoint supports, the weight
+    # of sum a_l X_l is the sum of wt(X_l) over a_l != 0, so d = min_l wt(X_l).
+    # Returns "" when that minimum is the claim, else what is wrong.
+    supports = [{i for i, v in enumerate(x.entries) if v} for x in xs]
+    if sum(map(len, supports)) != len(set().union(*supports)):
+        return "codeword supports overlap"
+    lightest = min(map(len, supports))
+    if lightest != claimed_d:
+        return f"lightest codeword has weight {lightest}, claimed {claimed_d}"
+    return ""
+
+
+def construct_extremal(r, s, field, *, check=True) -> Certificate:
     """A pair whose code has dimension min(r, s) and distance max(r, s).
 
     For r <= s this is construct_code(r, s, r); otherwise the construction
@@ -175,8 +191,8 @@ def construct_extremal(r, s, field, *, check=True, budget=DEFAULT_BUDGET) -> Cer
     weights preserved.
     """
     if r <= s:
-        return construct_code(r, s, r, field, check=check, budget=budget)
-    base = construct_code(s, r, s, field, check=check, budget=budget)
+        return construct_code(r, s, r, field, check=check)
+    base = construct_code(s, r, s, field, check=check)
     return _transpose_certificate(base)
 
 
@@ -238,12 +254,11 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
         checks.append(CertificateCheck("R invertible", True))
     except SingularError:
         checks.append(CertificateCheck("R invertible", False, "R is singular"))
+    s_inv = None
     try:
-        cert.S.inverse()
-        s_ok = True
+        s_inv = cert.S.inverse()
         checks.append(CertificateCheck("S invertible", True))
     except SingularError:
-        s_ok = False
         checks.append(CertificateCheck("S invertible", False, "S is singular"))
 
     distinct = len({*cert.zetas,
@@ -285,9 +300,9 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
         "codewords intertwine (A, B)", intertwines,
         "" if intertwines else "some A X - X B is nonzero"))
 
-    seed_ok = (t_inv is not None and s_ok
+    seed_ok = (t_inv is not None and s_inv is not None
                and cert.A == t_inv * cert.A0 * cert.R
-               and cert.B == cert.S.inverse() * cert.B0 * cert.S)
+               and cert.B == s_inv * cert.B0 * cert.S)
     checks.append(CertificateCheck(
         "pair is the conjugated seed", seed_ok,
         "" if seed_ok else "A or B is not the stated conjugate"))
@@ -302,18 +317,10 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
         "oracle dimension equals k", code.k == k,
         "" if code.k == k else f"oracle dimension {code.k}"))
 
-    # X_l spanning the code with pairwise disjoint supports make the weight
-    # of sum a_l X_l the sum of wt(X_l) over a_l != 0, so d = min_l wt(X_l).
-    supports = [{i for i, v in enumerate(x.entries) if v} for x in cert.X]
-    lightest = min(map(len, supports))
-    if not (intertwines and span_k == k == code.k):
-        detail = "codewords do not span the oracle code"
-    elif sum(map(len, supports)) != len(set().union(*supports)):
-        detail = "codeword supports overlap"
-    elif lightest != cert.claimed_d:
-        detail = f"lightest codeword has weight {lightest}, claimed {cert.claimed_d}"
+    if intertwines and span_k == k == code.k:
+        detail = _distance_problem(cert.X, cert.claimed_d)
     else:
-        detail = ""
+        detail = "codewords do not span the oracle code"
     checks.append(CertificateCheck("minimum distance from disjoint supports", not detail, detail))
 
     skipped = False

@@ -176,7 +176,7 @@ class FiniteField:
     def __init__(self, p, e=1, modulus=None):
         if not isinstance(p, int) or p < 2:
             raise NotPrimeError(p)
-        if not isinstance(e, int) or e < 1:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise ValueError(f"extension degree must be a positive integer, got {e!r}")
         # Before is_prime, whose trial division would run for hours on a huge
         # p; as p >= 2, e > 31 alone puts q above the bound.

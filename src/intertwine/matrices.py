@@ -30,6 +30,9 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: FiniteField, nrows: int, ncols: int, entries):
+        for size in (nrows, ncols):
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise SizeMismatchError(f"matrix sizes must be integers, got {size!r}")
         entries = tuple(entries)
         if nrows < 0 or ncols < 0 or len(entries) != nrows * ncols:
             raise SizeMismatchError(

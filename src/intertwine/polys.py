@@ -18,7 +18,7 @@ from .errors import (
     NotMonicError,
     ZeroPolynomialError,
 )
-from .fields import FiniteField, prime_divisors
+from .fields import FiniteField
 
 
 class Poly:
@@ -304,7 +304,8 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     # f monic squarefree; returns (product of all irreducible factors of
-    # degree d, d) pairs in increasing d.
+    # degree d, d) pairs in increasing d.  On a squareful f the first pair
+    # still holds a factor of the least degree, which is_irreducible needs.
     field = f.field
     q = field.q
     x = Poly.t(field)
@@ -402,26 +403,13 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 def is_irreducible(f: Poly) -> bool:
     """Deterministic irreducibility test for a monic polynomial.
 
-    Checks t^(q^m) = t mod f together with gcd(t^(q^(m/l)) - t, f) = 1 for
-    every prime l dividing m = deg f.
+    f is irreducible exactly when it has no irreducible factor of degree
+    at most deg(f)/2.  Distinct-degree factorization searches exactly those
+    degrees and returns f whole when it finds none; a squareful f still
+    shows the factor, so no squarefree input is needed.
     """
     if f.degree < 1:
         raise ConstantPolynomialError("irreducibility needs degree >= 1")
     if not f.is_monic:
         raise NotMonicError("irreducibility test expects a monic polynomial")
-    field = f.field
-    q = field.q
-    x = Poly.t(field)
-    m = f.degree
-    frob = {}
-    h = x % f
-    for i in range(1, m + 1):
-        h = _powmod(h, q, f)
-        frob[i] = h
-    if not (frob[m] - x % f).is_zero:
-        return False
-    for ell in prime_divisors(m):
-        g = gcd(frob[m // ell] - x, f)
-        if g.degree != 0:
-            return False
-    return True
+    return _distinct_degree(f) == [(f, f.degree)]

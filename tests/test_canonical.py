@@ -17,7 +17,7 @@ from intertwine import (
     is_irreducible,
     nilpotent_matrix,
     primary_decomposition,
-    spectral_summary,
+    spectral_bounds,
 )
 from intertwine.polys import encoding
 from support import get_field, rand_matrix, rand_partition
@@ -168,10 +168,15 @@ def test_components_are_canonically_sorted():
         assert [(c.irr, c.mult) for c in comps] == list(factor(a.charpoly()).factors)
 
 
-def test_spectral_summary_examples():
-    assert spectral_summary(nilpotent_matrix(F2, Partition([2]))) == [
-        (Poly.t(F2), 1, 1, 2)]
-    assert spectral_summary(Matrix.identity(F3, 2)) == [
-        (Poly(F3, (2, 1)), 1, 2, 2)]
+def test_spectral_bounds_examples():
+    # Against a 1x1 partner with the same single eigenvalue, lo counts the
+    # eigenspace dimension and hi the multiplicity, each times deg p.
+    nil = nilpotent_matrix(F2, Partition([2]))
+    assert spectral_bounds(nil, Matrix.zero(F2, 1, 1)) == (1, 2)
+    assert spectral_bounds(nil, nil) == (1, 4)
+    eye = Matrix.identity(F3, 2)
+    assert spectral_bounds(eye, Matrix.identity(F3, 1)) == (2, 2)
+    assert spectral_bounds(eye, Matrix.zero(F3, 1, 1)) == (0, 0)
     comp = companion_matrix(Poly(F3, (1, 0, 1)))
-    assert spectral_summary(comp) == [(Poly(F3, (1, 0, 1)), 2, 1, 1)]
+    assert spectral_bounds(comp, comp) == (2, 2)
+    assert spectral_bounds(comp, eye) == (0, 0)

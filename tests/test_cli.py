@@ -302,6 +302,12 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["mindist", str(tmp_path / "missing.json")])
     assert code == 1
 
+    # the builders prove the distance without enumeration, so take no budget
+    for argv in (["construct", "3", "2", "2"], ["extremal", "3", "2"]):
+        code, out, err = run(capsys, argv + ["--q", "5", "--budget", "100"])
+        assert (code, out) == (1, "")
+        assert "--budget" in err
+
 
 def test_outputs_are_deterministic(capsys):
     code1, out1, _ = run(capsys, ["construct", "4", "3", "2", "--q", "7", "--seed", "0"])

@@ -11,6 +11,7 @@ from intertwine import (
     CertificateCheck,
     FieldTooSmallError,
     FiniteField,
+    InternalInconsistencyError,
     IntertwiningCode,
     Matrix,
     construct_code,
@@ -20,6 +21,7 @@ from intertwine import (
     min_distance,
     verify_certificate,
 )
+from intertwine import construct
 from support import get_field
 
 F2 = FiniteField(2)
@@ -236,8 +238,14 @@ def test_verify_flags_overlapping_supports():
     assert not report.passed
 
 
-def test_builder_self_check_runs_within_budget():
-    # check=True is the default; the certificate below is small enough that
-    # both the dimension and the distance are re-verified at build time
-    cert = construct_code(2, 2, 2, F5)
-    assert cert.claimed_d == 2
+def test_builder_self_check_runs_at_every_size(monkeypatch):
+    # check=True is the default; the distance is proven from the disjoint
+    # supports, so 16^10 - 1 codewords are no reason to skip it
+    assert construct_code(2, 2, 2, F5).claimed_d == 2
+    assert construct_code(20, 10, 10, get_field(16)).claimed_d == 20
+    # gamma = 0 zeroes one entry of each distinguished row of S, so every
+    # codeword is lighter than the claim
+    monkeypatch.setattr(construct, "_choose_gamma", lambda field, s, k: 0)
+    for r, s, k, q in ((3, 2, 2, 5), (20, 10, 10, 16)):
+        with pytest.raises(InternalInconsistencyError, match="lightest codeword has weight"):
+            construct_code(r, s, k, get_field(q))

@@ -96,8 +96,9 @@ def test_bad_modulus_rejected():
 
 
 def test_bad_extension_degree_rejected():
-    with pytest.raises(ValueError):
-        FiniteField(2, 0)
+    for e in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            FiniteField(2, e)
 
 
 def test_explicit_modulus_is_used():

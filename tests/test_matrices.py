@@ -220,6 +220,10 @@ def test_matrix_shape_validation():
         Matrix.identity(F2, 2) * Matrix.zero(F2, 3, 3)
     with pytest.raises(ValueError):
         Matrix(F2, 1, 1, [7])
+    # a bool or float size would otherwise pass the entry count check
+    for nrows, ncols, entries in ((True, True, [0]), (1, True, [0]), (2.0, 1, [0, 0])):
+        with pytest.raises(SizeMismatchError):
+            Matrix(F2, nrows, ncols, entries)
 
 
 def test_transpose_and_weight():

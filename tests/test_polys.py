@@ -151,6 +151,32 @@ def test_factor_random_roundtrip(q):
         assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 131])
+def test_factor_and_is_irreducible_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = get_field(p)
+    rng = random.Random(p)
+
+    def rand_poly(deg):
+        return Poly(f, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+    for _ in range(16):
+        if rng.random() < 0.5:  # a product with repeated factors
+            poly = Poly.one(f)
+            for _ in range(rng.randint(1, 3)):
+                poly = poly * rand_poly(rng.randint(1, 4)) ** rng.randint(1, 3)
+        else:
+            poly = rand_poly(rng.randint(1, 12))
+        ref = sympy.Poly(list(reversed(poly.coeffs)), x, modulus=p)
+        unit, ref_factors = ref.factor_list()
+        fact = factor(poly)
+        assert fact.unit == int(unit) % p
+        assert sorted((g.coeffs, m) for g, m in fact.factors) == sorted(
+            (tuple(int(c) % p for c in reversed(g.all_coeffs())), m) for g, m in ref_factors)
+        assert is_irreducible(poly.monic()) == ref.monic().is_irreducible
+
+
 def test_is_irreducible_examples():
     assert is_irreducible(P(F2, 1, 1, 1))
     assert not is_irreducible(P(F2, 1, 0, 1))  # root at t = 1
