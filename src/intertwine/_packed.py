@@ -1,5 +1,5 @@
-"""Gauss-Jordan elimination, matrix products and codeword rows, byte-packed
-over small fields.
+"""Gauss-Jordan elimination, matrix products, row updates and codeword rows,
+byte-packed over small fields.
 
 A row of m entries is one Python int made from m bytes, one byte per entry,
 most significant first, so the entry in column c is
@@ -16,6 +16,9 @@ Other fields do not qualify and keep the list loops in ``Matrix.rref`` and
 Bard, Hart, ACM TOMS 2010) with bytes for words.  A product sums up to
 255 // (p - 1) prime-field rows before it reduces, since no byte can pass
 255 before then.
+
+``_axpy_ops`` gives the row updates x + c*y of the intertwiner solver in
+``codes`` on the same rows, and plain lists for fields that do not qualify.
 
 The codeword scan of ``codes.min_distance`` only adds rows and counts their
 nonzero entries, so ``_row_ops`` packs any field with p < 128: an entry
@@ -143,6 +146,42 @@ def _matmul(field, n, m, k, a, b):
                 terms += 1
         out.append(acc.to_bytes(k, "big").translate(reduce))
     return b"".join(out)
+
+
+def _axpy_ops(field, n):
+    """(pack, axpy, unpack) for vectors of n entries of the field.
+
+    pack turns an entry sequence into a vector, axpy(x, c, y) is the vector
+    x + c*y and unpack gives the entries back.  A field that qualifies (see
+    ``_byte_field``) keeps a vector as one int of n bytes; any other keeps a
+    list and calls the field per entry.
+    """
+    if not _byte_field(field):
+        add, mul = field.add, field.mul
+
+        def axpy(x, c, y):
+            return [add(a, mul(c, b)) if b else a for a, b in zip(x, y)]
+
+        return list, axpy, list
+    scale = _scaler(field)
+
+    def pack(entries):
+        return int.from_bytes(bytes(entries), "big")
+
+    def unpack(x):
+        return x.to_bytes(n, "big")
+
+    if field.p == 2:
+        def axpy(x, c, y):
+            return x ^ int.from_bytes(y.to_bytes(n, "big").translate(scale(c)), "big")
+    else:
+        reduce = scale(1)
+
+        def axpy(x, c, y):
+            total = x + int.from_bytes(y.to_bytes(n, "big").translate(scale(c)), "big")
+            return int.from_bytes(total.to_bytes(n, "big").translate(reduce), "big")
+
+    return pack, axpy, unpack
 
 
 def _row_ops(field, n):

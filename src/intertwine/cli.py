@@ -135,6 +135,9 @@ def _load(path, what, parse):
     obj = _load_json(path, what)
     try:
         return parse(obj)
+    except IntertwineError:
+        # a field too large or of a bad degree is a precondition, as with --q
+        raise
     except ValueError as exc:
         raise UsageError(f"{what} file {path!r}: {exc}") from exc
 

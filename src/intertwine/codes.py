@@ -1,16 +1,17 @@
 """Intertwining codes: the spaces of matrices X with A_i X = X B_i.
 
 Viewed entrywise, such a space is a linear code of length r*s.  The kernel
-basis here is the ground truth everything else is checked against: it is
-assembled by direct elimination on the r*s unknown entries of X, avoiding any
-Kronecker-product vectorization convention.
+basis here is the ground truth everything else is checked against.  It is
+solved on a Hessenberg form of B, with r unknowns per Hessenberg block of B
+instead of the r*s entries of X, and no Kronecker-product vectorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from ._packed import _row_ops
+from ._packed import _axpy_ops, _row_ops
 from .canonical import primary_decomposition
 from .errors import (
     BudgetExceededError,
@@ -20,7 +21,7 @@ from .errors import (
     SizeMismatchError,
     ZeroCodeError,
 )
-from .matrices import Matrix
+from .matrices import Matrix, _hessenberg
 from .partitions import Partition, conjugate_product
 from .polys import Poly, gcd
 
@@ -112,9 +113,11 @@ def _check_pair(a: Matrix, b: Matrix):
 def intertwiner_basis(a_list, b_list) -> IntertwiningCode:
     """Kernel-oracle basis of {X : A_i X = X B_i for every i}.
 
-    The r*s entries of X are treated as unknowns and every pair contributes
-    r*s homogeneous conditions; the canonical nullspace basis is returned.
-    This is the brute-force oracle each closed-form result is tested against.
+    The first pair is solved on a Hessenberg form of B_1 (``_pair_basis``).
+    Each further pair is imposed on the space found so far: X = sum c_l X_l
+    is a codeword exactly when sum c_l (A_i X_l - X_l B_i) = 0, a system in
+    as many unknowns as that space has dimensions.  The canonical basis is
+    returned.  This is the oracle each closed-form result is tested against.
     """
     a_list = list(a_list)
     b_list = list(b_list)
@@ -132,28 +135,84 @@ def intertwiner_basis(a_list, b_list) -> IntertwiningCode:
             raise FieldMismatchError("pairs over different fields")
         if a.nrows != r or b.nrows != s:
             raise SizeMismatchError("pairs have inconsistent block dimensions")
+    if r < 1 or s < 1:
+        raise SizeMismatchError("codes need positive block dimensions")
     n = r * s
-    sub = field.sub
-    rows = []
-    for a, b in zip(a_list, b_list):
-        ae, be = a.entries, b.entries
-        for u in range(r):
-            for v in range(s):
-                row = [0] * n
-                for t in range(r):
-                    c = ae[u * r + t]
-                    if c:
-                        row[t * s + v] = c
-                for t in range(s):
-                    c = be[t * s + v]
-                    if c:
-                        idx = u * s + t
-                        row[idx] = sub(row[idx], c)
-                rows.append(row)
-    system = Matrix._raw(field, len(rows), n, [v for row in rows for v in row])
-    kernel = system.nullspace()
-    mats = [Matrix._raw(field, r, s, vec.entries) for vec in kernel]
+    rows = _pair_basis(a_list[0], b_list[0])
+    for a, b in zip(a_list[1:], b_list[1:]):
+        k = rows.nrows
+        if not k:
+            break
+        xs = [Matrix._raw(field, r, s, rows.entries[l * n:(l + 1) * n]) for l in range(k)]
+        # column l holds the defect of X_l
+        defects = Matrix._raw(field, k, n, [v for x in xs for v in (a * x - x * b).entries])
+        coeffs = defects.transpose().nullspace()
+        rows = Matrix._raw(field, len(coeffs), k, [v for c in coeffs for v in c.entries]) * rows
+    mats = [Matrix._raw(field, r, s, rows.entries[l * n:(l + 1) * n]) for l in range(rows.nrows)]
     return IntertwiningCode(field, r, s, mats)
+
+
+def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
+    """A basis of {X : AX = XB} as the rows of a k x rs matrix, each row the
+    row-major entries of one X.
+
+    With H = P B P^-1 upper Hessenberg (``_hessenberg``) and Y = X P^-1, the
+    equation becomes AY = YH, whose column j reads
+    h_(j+1,j) y_(j+1) = A y_j - sum_(t<=j) h_tj y_t.  A nonzero subdiagonal
+    entry determines the next column.  A zero one, or the last column,
+    closes a block: the right-hand side must vanish, r linear conditions,
+    and the next column is a fresh vector of r unknowns.  So each y_j is an
+    r x n coefficient matrix over n = r * (number of blocks) unknowns, and
+    the kernel of the conditions gives every Y, and X = Y P (Gantmacher,
+    The Theory of Matrices, Vol. 1, Ch. VIII).
+    """
+    field = a.field
+    r, s = a.nrows, b.nrows
+    h, p = _hessenberg(b, transform=True)
+    blocks = 1 + sum(1 for j in range(s - 1) if not h[j + 1][j])
+    n = r * blocks
+    size = r * n
+    pack, axpy, unpack = _axpy_ops(field, size)
+    neg, inv = field.neg, field.inv
+    zero = pack([0] * size)
+    identity = Matrix.identity(field, r).entries
+
+    def placed(block, entries):
+        # the coefficient matrix with the r x r entries in the block's columns
+        ent = [0] * size
+        for u in range(r):
+            start = u * n + block * r
+            ent[start:start + r] = entries[u * r:(u + 1) * r]
+        return pack(ent)
+
+    # a block opens with y_j its free vector, so A y_j is A in its columns
+    block = 0
+    ys = [placed(0, identity)]
+    ay = placed(0, a.entries)
+    conditions = []
+    for j in range(s):
+        w = ay
+        for t in range(j + 1):
+            if h[t][j]:
+                w = axpy(w, neg(h[t][j]), ys[t])
+        if j + 1 < s and h[j + 1][j]:
+            ys.append(axpy(zero, inv(h[j + 1][j]), w))
+            ay = pack((a * Matrix._raw(field, r, n, unpack(ys[-1]))).entries)
+        else:
+            conditions.extend(unpack(w))
+            block += 1
+            if block < blocks:
+                ys.append(placed(block, identity))
+                ay = placed(block, a.entries)
+    kernel = Matrix._raw(field, r * blocks, n, conditions).nullspace()
+    zs = Matrix._raw(field, len(kernel), n, [v for z in kernel for v in z.entries])
+    # column c of X = Y P is d_c z for the coefficient matrix d_c = sum_j P_jc y_j
+    d = (p.transpose() * Matrix._raw(field, s, size, [v for y in ys for v in unpack(y)])).entries
+    # entry (m, (u, c)) of ct is entry (u, m) of d_c, so row l of zs ct is
+    # vec(X_l); d[u * n + m::size] lists entry (u, m) of every d_c
+    ct = Matrix._raw(field, n, r * s,
+                     chain.from_iterable(d[u * n + m::size] for m in range(n) for u in range(r)))
+    return zs * ct
 
 
 @dataclass(frozen=True)

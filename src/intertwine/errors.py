@@ -13,6 +13,12 @@ class NotPrimeError(IntertwineError):
         self.p = p
 
 
+class FieldSizeError(IntertwineError, ValueError):
+    """Extension degree is not a positive integer, or the field order exceeds
+    the supported bound 2^31.  Also a ValueError, so that code catching
+    ValueError for a bad field still catches it."""
+
+
 class BadModulusError(IntertwineError):
     """Extension modulus has the wrong degree, is not monic, or is reducible."""
 

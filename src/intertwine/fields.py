@@ -15,7 +15,7 @@ Orders above 2^31 are rejected before any trial division.
 
 from __future__ import annotations
 
-from .errors import BadModulusError, DivisionByZeroError, NotPrimeError
+from .errors import BadModulusError, DivisionByZeroError, FieldSizeError, NotPrimeError
 
 # Extension fields up to this order get log/antilog tables.
 _LOG_TABLE_LIMIT = 1 << 16
@@ -177,11 +177,11 @@ class FiniteField:
         if not isinstance(p, int) or p < 2:
             raise NotPrimeError(p)
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {e!r}")
+            raise FieldSizeError(f"extension degree must be a positive integer, got {e!r}")
         # Before is_prime, whose trial division would run for hours on a huge
         # p; as p >= 2, e > 31 alone puts q above the bound.
         if p >= _ORDER_LIMIT or e > 31 or p**e > _ORDER_LIMIT:
-            raise ValueError(f"field order {p}^{e} exceeds the supported bound 2^31")
+            raise FieldSizeError(f"field order {p}^{e} exceeds the supported bound 2^31")
         if not is_prime(p):
             raise NotPrimeError(p)
         self.p = p
@@ -195,7 +195,7 @@ class FiniteField:
     def of_order(cls, q):
         """GF(q) with the default modulus, for a prime power q."""
         if q > _ORDER_LIMIT:
-            raise ValueError(f"field order {q} exceeds the supported bound 2^31")
+            raise FieldSizeError(f"field order {q} exceeds the supported bound 2^31")
         primes = prime_divisors(q)
         if len(primes) != 1:
             raise NotPrimeError(q)

@@ -2,7 +2,8 @@
 
 Matrices are immutable values; row-major entry order is the single
 vectorization convention used throughout the library.  The characteristic
-polynomial comes from a similarity reduction to upper Hessenberg form and
+polynomial comes from a similarity reduction to upper Hessenberg form
+(``_hessenberg``, which also serves the intertwiner solver of ``codes``) and
 the Hessenberg determinant recurrence, O(n^3) field operations in every
 characteristic.  Products and elimination over small fields run on
 byte-packed rows (``_packed``).
@@ -40,7 +41,7 @@ class Matrix:
             )
         q = field.q
         for v in entries:
-            if not isinstance(v, int) or not 0 <= v < q:
+            if type(v) is not int or not 0 <= v < q:
                 raise ValueError(f"entry {v!r} is not an element encoding of {field}")
         self.field = field
         self.nrows = nrows
@@ -296,12 +297,9 @@ class Matrix:
     def charpoly(self) -> Poly:
         """det(tI - M), monic of degree n.
 
-        The matrix is first brought to upper Hessenberg form H by similarity:
-        for each column j, the first row at or below j + 1 with a nonzero
-        entry in column j is swapped into row j + 1 (and the same columns
-        swapped), then each lower row i loses u times row j + 1 while column
-        j + 1 gains u times column i.  The leading principal minors p_m of
-        tI - H (1-based) then satisfy
+        The matrix is first brought to upper Hessenberg form H by similarity
+        (``_hessenberg``).  The leading principal minors p_m of tI - H
+        (1-based) then satisfy
         p_m = (t - h_mm) p_(m-1) - sum_i h_im (prod_(i<j<=m) h_(j,j-1)) p_(i-1)
         (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
         """
@@ -309,29 +307,8 @@ class Matrix:
             raise NotSquareError("characteristic polynomial needs a square matrix")
         f = self.field
         n = self.nrows
-        add, sub, mul, neg, inv = f.add, f.sub, f.mul, f.neg, f.inv
-        h = [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
-        for j in range(n - 2):
-            piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-            if piv is None:
-                continue
-            k = j + 1
-            if piv != k:
-                h[piv], h[k] = h[k], h[piv]
-                for row in h:
-                    row[piv], row[k] = row[k], row[piv]
-            top = h[k]
-            iv = inv(top[j])
-            for i in range(k + 1, n):
-                row = h[i]
-                if row[j]:
-                    u = mul(row[j], iv)
-                    for c in range(j, n):
-                        if top[c]:
-                            row[c] = sub(row[c], mul(u, top[c]))
-                    for r in h:
-                        if r[i]:
-                            r[k] = add(r[k], mul(u, r[i]))
+        add, mul, neg = f.add, f.mul, f.neg
+        h, _ = _hessenberg(self)
         # polys[m] holds the ascending coefficients of p_m
         polys = [[1]]
         for m in range(n):
@@ -355,6 +332,53 @@ class Matrix:
                             cur[d] = add(cur[d], mul(c, v))
             polys.append(cur)
         return Poly(f, polys[n])
+
+
+def _hessenberg(m: Matrix, transform=False):
+    """(h, P): the rows of an upper Hessenberg H = P M P^-1 as lists, and P as
+    a Matrix when transform is true (else None).
+
+    For each column j, the first row at or below j + 1 with a nonzero entry
+    in column j is swapped into row j + 1 (and the same columns swapped),
+    then each lower row i loses u times row j + 1 while column j + 1 gains
+    u times column i.  P collects the row operations.
+    """
+    f = m.field
+    n = m.nrows
+    add, sub, mul, inv = f.add, f.sub, f.mul, f.inv
+    h = [list(m.entries[i * n:(i + 1) * n]) for i in range(n)]
+    p = [[int(i == j) for j in range(n)] for i in range(n)] if transform else None
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        k = j + 1
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+            if transform:
+                p[piv], p[k] = p[k], p[piv]
+        top = h[k]
+        iv = inv(top[j])
+        for i in range(k + 1, n):
+            row = h[i]
+            if row[j]:
+                u = mul(row[j], iv)
+                for c in range(j, n):
+                    if top[c]:
+                        row[c] = sub(row[c], mul(u, top[c]))
+                for r in h:
+                    if r[i]:
+                        r[k] = add(r[k], mul(u, r[i]))
+                if transform:
+                    prow, ptop = p[i], p[k]
+                    for c in range(n):
+                        if ptop[c]:
+                            prow[c] = sub(prow[c], mul(u, ptop[c]))
+    if transform:
+        p = Matrix._raw(f, n, n, [v for row in p for v in row])
+    return h, p
 
 
 def poly_eval(f: Poly, m: Matrix) -> Matrix:

@@ -32,7 +32,7 @@ class Poly:
             cs.pop()
         q = field.q
         for c in cs:
-            if not isinstance(c, int) or not 0 <= c < q:
+            if type(c) is not int or not 0 <= c < q:
                 raise ValueError(f"coefficient {c!r} is not an element encoding of {field}")
         self.field = field
         self.coeffs = tuple(cs)

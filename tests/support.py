@@ -2,7 +2,15 @@
 
 from itertools import product
 
-from intertwine import FiniteField, Matrix, Partition, Poly
+from intertwine import (
+    FiniteField,
+    IntertwiningCode,
+    Matrix,
+    Partition,
+    Poly,
+    direct_sum,
+    generalized_jordan_matrix,
+)
 
 _FIELD_CACHE = {}
 
@@ -40,6 +48,16 @@ def rand_invertible(rng, field, n):
         m = rand_matrix(rng, field, n, n)
         if m.rank() == n:
             return m
+
+
+def planted_matrix(rng, field, components):
+    """T^-1 J T for a random invertible T, where J is the direct sum of the
+    generalized Jordan matrices of components, (ascending coefficients of a
+    monic irreducible, block sizes) pairs."""
+    j = direct_sum([generalized_jordan_matrix(Poly(field, coeffs), Partition(parts))
+                    for coeffs, parts in components], field)
+    t = rand_invertible(rng, field, j.nrows)
+    return t.inverse() * j * t
 
 
 def rand_partition(rng, max_weight):
@@ -157,3 +175,27 @@ def reference_charpoly(m):
                         new_p[idx] = add(new_p[idx], mul(ci, pj))
         p = new_p
     return Poly(f, list(reversed(p)))
+
+
+def reference_intertwiner_basis(a_list, b_list):
+    """{X : A_i X = X B_i} by direct elimination on the r*s unknown entries of
+    X: every pair contributes r*s homogeneous conditions, one per entry of
+    A_i X - X B_i."""
+    field = a_list[0].field
+    r, s = a_list[0].nrows, b_list[0].nrows
+    n = r * s
+    sub = field.sub
+    rows = []
+    for a, b in zip(a_list, b_list):
+        ae, be = a.entries, b.entries
+        for u in range(r):
+            for v in range(s):
+                row = [0] * n
+                for t in range(r):
+                    row[t * s + v] = ae[u * r + t]
+                for t in range(s):
+                    row[u * s + t] = sub(row[u * s + t], be[t * s + v])
+                rows.append(row)
+    system = Matrix(field, len(rows), n, [v for row in rows for v in row])
+    return IntertwiningCode(field, r, s, [Matrix(field, r, s, vec.entries)
+                                          for vec in system.nullspace()])

@@ -260,15 +260,37 @@ def test_huge_order_exits_at_once(capsys):
 
 
 def test_huge_characteristic_in_a_file_exits_at_once(tmp_path, capsys):
-    # an out-of-range field in a file is a parse error of that file, like
-    # {"p": 2, "e": 40}
+    # an out-of-range field in a file is a precondition, as with --q
     blob = {"field": {"p": HUGE_PRIME, "e": 1}, "rows": 1, "cols": 1, "entries": [[0]]}
     path = write_json(tmp_path / "a.json", blob)
     started = time.perf_counter()
     code, out, err = run(capsys, ["dim", path, path])
     assert time.perf_counter() - started < 1
-    assert (code, out) == (1, "")
+    assert (code, out) == (2, "")
     assert "exceeds the supported bound" in err and "Traceback" not in err
+
+
+def test_field_errors_in_a_file_exit_like_the_q_option(tmp_path, capsys):
+    # the order or degree of a field is a precondition wherever it is given;
+    # a malformed shape stays a parse error
+    cases = [({"p": 2, "e": 0}, 2, "extension degree"),
+             ({"p": 2, "e": 40}, 2, "exceeds the supported bound"),
+             ({"p": 2**31 + 11, "e": 1}, 2, "exceeds the supported bound"),
+             ({"p": 4, "e": 1}, 2, "prime"),
+             ({"p": 2, "e": "1"}, 1, "'e'"),
+             ({"p": 2}, 1, "'e'")]
+    for field, want, message in cases:
+        blob = {"field": field, "rows": 1, "cols": 1, "entries": [[0]]}
+        path = write_json(tmp_path / "a.json", blob)
+        code, out, err = run(capsys, ["dim", path, path])
+        assert (code, out) == (want, ""), field
+        assert message in err and "Traceback" not in err, field
+        field_path = write_json(tmp_path / "field.json", field)
+        code, out, err = run(capsys, ["construct", "2", "2", "1", "--field", field_path])
+        assert (code, out) == (want, ""), field
+    for q in ("2^0", "2^40", str(2**31 + 11)):
+        code, out, _ = run(capsys, ["construct", "2", "2", "1", "--q", q])
+        assert (code, out) == (2, ""), q
 
 
 def test_json_booleans_are_not_integers(tmp_path, capsys):

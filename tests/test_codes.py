@@ -24,6 +24,7 @@ from intertwine import (
     direct_sum,
     generalized_jordan_matrix,
     intertwiner_basis,
+    is_irreducible,
     is_zero_code,
     min_distance,
     nilpotent_matrix,
@@ -31,7 +32,15 @@ from intertwine import (
     spectral_bounds,
     syndrome,
 )
-from support import get_field, rand_invertible, rand_matrix, reference_min_distance
+from support import (
+    get_field,
+    min_sum,
+    planted_matrix,
+    rand_invertible,
+    rand_matrix,
+    reference_intertwiner_basis,
+    reference_min_distance,
+)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -95,6 +104,129 @@ def test_multi_pair_intersection():
     with pytest.raises(LengthMismatchError):
         intertwiner_basis([Matrix.zero(F2, 1, 1)], [])
 
+
+# The solver's row formats: one byte per entry (characteristic 2 with
+# q <= 256, primes below 128) and lists (every other field).
+SOLVER_ORDERS = (2, 4, 8, 256, 3, 5, 7, 127, 9, 27, 131, 1024)
+# "scalar" closes a Hessenberg block at every column; "last column" is an
+# unreduced Hessenberg matrix but for its last subdiagonal entry.
+PAIR_KINDS = ("random", "zero", "scalar", "derogatory", "cyclic", "block diagonal",
+              "last column")
+
+
+@st.composite
+def matrices_of_kind(draw, f, n):
+    """An n x n matrix whose eigenvalues come from a few small scalars, so
+    that random pairs often share some and have a nonzero code."""
+    kind = draw(st.sampled_from(PAIR_KINDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    small = st.integers(0, min(f.q, 3) - 1)
+    if kind == "random":
+        return rand_matrix(rng, f, n, n)
+    if kind == "zero":
+        return Matrix.zero(f, n, n)
+    if kind == "scalar" or n == 1:
+        return Matrix.scalar(f, n, draw(small))
+    if kind == "derogatory":
+        # one eigenvalue with at least two Jordan blocks, conjugated
+        first = draw(st.integers(1, n - 1))
+        parts = sorted([first, n - first], reverse=True)
+        return planted_matrix(rng, f, [((f.neg(draw(small)), 1), parts)])
+    if kind == "cyclic":
+        # one Jordan block per eigenvalue, conjugated
+        first = draw(st.integers(1, n))
+        c = draw(small)
+        comps = [((f.neg(c), 1), [first])]
+        if first < n:
+            comps.append(((f.neg(int(c == 0)), 1), [n - first]))
+        return planted_matrix(rng, f, comps)
+    if kind == "block diagonal":
+        first = draw(st.integers(1, n - 1))
+        return direct_sum([rand_matrix(rng, f, first, first),
+                           Matrix.scalar(f, n - first, draw(small))])
+    ent = [rng.randrange(f.q) if j >= i - 1 else 0 for i in range(n) for j in range(n)]
+    for i in range(1, n):
+        ent[i * n + i - 1] = 0 if i == n - 1 else rng.randrange(1, f.q)
+    return Matrix(f, n, n, ent)
+
+
+@pytest.mark.parametrize("q", SOLVER_ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_intertwiner_basis_matches_reference(q, data):
+    f = get_field(q)
+    r, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    pairs = data.draw(st.integers(1, 3))
+    a_list = [data.draw(matrices_of_kind(f, r)) for _ in range(pairs)]
+    b_list = [data.draw(matrices_of_kind(f, s)) for _ in range(pairs)]
+    assert intertwiner_basis(a_list, b_list) == reference_intertwiner_basis(a_list, b_list)
+
+
+def test_second_pair_shrinks_the_code():
+    rng = random.Random(113)
+    for q in (2, 5, 9):
+        f = get_field(q)
+        a = planted_matrix(rng, f, [((0, 1), [2, 1]), ((1, 1), [1])])
+        b = planted_matrix(rng, f, [((0, 1), [3]), ((1, 1), [1, 1])])
+        zero_a, zero_b = Matrix.zero(f, 4, 4), Matrix.zero(f, 5, 5)
+        first = intertwiner_basis([zero_a], [zero_b])
+        both = intertwiner_basis([zero_a, a], [zero_b, b])
+        assert first.k == 20 and both.k == 5
+        assert both == intertwiner_basis([a], [b]) == reference_intertwiner_basis([a], [b])
+        assert intertwiner_basis([a, zero_a], [b, zero_b]) == both
+        # a third pair that is one of the first two changes nothing
+        assert intertwiner_basis([zero_a, a, a], [zero_b, b, b]) == both
+
+
+def _irreducible(f, degree):
+    """The least monic irreducible of the degree, by encoding."""
+    for code in range(f.q**degree):
+        coeffs = [code // f.q**i % f.q for i in range(degree)] + [1]
+        if is_irreducible(Poly(f, coeffs)):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible")
+
+
+# (q, components of A, components of B) at the sizes of the spectral
+# benchmark; each component is (irreducible, Jordan block sizes), and the
+# degree-2 irreducible is written as None.
+SPECTRAL_SIZE_PAIRS = [
+    (2, [((0, 1), [4, 3, 1]), ((1, 1), [5, 3]), (None, [3, 2, 2]), ((1, 1, 0, 1), [2])],
+     [((0, 1), [3, 3, 2, 1]), ((1, 1), [6]), (None, [4, 1]), ((1, 0, 1, 1), [2, 1])]),
+    (7, [((0, 1), [3, 2]), ((1, 1), [4, 3]), (None, [3, 3])],
+     [((0, 1), [4, 2, 2, 1]), ((1, 1), [5]), (None, [4, 2, 1]), ((2, 1), [6, 6])]),
+    (16, [((0, 1), [4, 4, 2]), ((1, 1), [3, 3, 3]), (None, [3, 2]), ((2, 1), [3])],
+     [((0, 1), [5, 3, 1]), ((1, 1), [2, 2, 2, 1]), (None, [4, 2])]),
+    (9, [((0, 1), [3, 1]), ((1, 1), [2, 2]), (None, [2])],
+     [((0, 1), [2, 2]), ((1, 1), [3]), (None, [1]), ((2, 1), [1])]),
+]
+
+
+@pytest.mark.parametrize("q, a_comps, b_comps", SPECTRAL_SIZE_PAIRS,
+                         ids=[str(q) for q, _, _ in SPECTRAL_SIZE_PAIRS])
+def test_closed_forms_match_the_oracle_at_spectral_sizes(q, a_comps, b_comps):
+    f = get_field(q)
+    quad = _irreducible(f, 2)
+    a_comps = [(coeffs or quad, parts) for coeffs, parts in a_comps]
+    b_comps = [(coeffs or quad, parts) for coeffs, parts in b_comps]
+    rng = random.Random(q)
+    a = planted_matrix(rng, f, a_comps)
+    b = planted_matrix(rng, f, b_comps)
+    assert q == 9 or 24 <= min(a.nrows, b.nrows) and max(a.nrows, b.nrows) <= 40
+    # per shared irreducible p: deg(p) * sum of min(lambda_i, mu_j) for the
+    # dimension, deg(p) * (blocks * blocks, weight * weight) for the bounds
+    mu_of = {coeffs: parts for coeffs, parts in b_comps}
+    k = lo = hi = 0
+    for coeffs, lam in a_comps:
+        mu = mu_of.get(coeffs)
+        if mu is not None:
+            deg = len(coeffs) - 1
+            k += deg * min_sum([Partition(lam), Partition(mu)])
+            lo += deg * len(lam) * len(mu)
+            hi += deg * sum(lam) * sum(mu)
+    assert dimension_formula(a, b).total == k == intertwiner_basis([a], [b]).k
+    assert spectral_bounds(a, b) == (lo, hi)
+    assert lo <= k <= hi
 
 def test_dimension_formula_examples():
     p = Poly(F2, (1, 1, 0, 1))

@@ -21,6 +21,7 @@ from intertwine import (
     direct_sum,
     poly_eval,
 )
+from intertwine.matrices import _hessenberg
 from support import get_field, rand_matrix, reference_charpoly
 
 F2 = FiniteField(2)
@@ -220,6 +221,10 @@ def test_matrix_shape_validation():
         Matrix.identity(F2, 2) * Matrix.zero(F2, 3, 3)
     with pytest.raises(ValueError):
         Matrix(F2, 1, 1, [7])
+    # a bool is an int, but not an element encoding
+    for entry in (True, False, 1.0):
+        with pytest.raises(ValueError):
+            Matrix(F2, 1, 1, [entry])
     # a bool or float size would otherwise pass the entry count check
     for nrows, ncols, entries in ((True, True, [0]), (1, True, [0]), (2.0, 1, [0, 0])):
         with pytest.raises(SizeMismatchError):
@@ -345,6 +350,19 @@ def charpoly_matrices(draw):
 def test_charpoly_matches_berkowitz(m):
     assert m.charpoly() == reference_charpoly(m)
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(charpoly_matrices())
+def test_hessenberg_form_is_similar(m):
+    # the shared reduction of charpoly and the intertwiner solver
+    h, p = _hessenberg(m, transform=True)
+    n = m.nrows
+    assert all(not h[i][j] for i in range(n) for j in range(i - 1))
+    big_h = Matrix(m.field, n, n, [v for row in h for v in row])
+    assert p.rank() == n
+    assert p * m == big_h * p
+    assert _hessenberg(m)[0] == h
 
 def test_charpoly_of_permuted_block_matrices():
     # zero columns below the subdiagonal at every stage, and pivots away from

@@ -37,6 +37,12 @@ def test_trailing_zeros_are_trimmed():
     assert P(F5).degree == -1
 
 
+def test_coefficients_must_be_element_encodings():
+    for coeffs in ([True, 1], [1, False, 1], [5], [-1], [1.0]):
+        with pytest.raises(ValueError):
+            Poly(F5, coeffs)
+
+
 def test_gcd_examples():
     assert gcd(P(F5, 4, 0, 1), P(F5, 4, 1)) == P(F5, 4, 1)  # t^2-1 and t-1
     assert gcd(P(F3, 1, 0, 1), P(F3, 0, 1)) == Poly.one(F3)
