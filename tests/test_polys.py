@@ -1,6 +1,7 @@
 """Polynomial arithmetic, gcd, squarefree splitting, and factorization."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from intertwine import (
     is_irreducible,
     squarefree_decomposition,
 )
+from intertwine import serialize
+from intertwine.cli import main
 from intertwine.polys import encoding
 from support import get_field
 
@@ -130,11 +133,33 @@ def test_factor_rejects_degenerate_inputs():
         factor(Poly.one(F2))
 
 
-def test_factor_is_seed_independent():
-    f = get_field(9)
-    rng = random.Random(7)
-    poly = Poly(f, [rng.randrange(9) for _ in range(10)] + [1])
-    assert factor(poly, 1).factors == factor(poly, 99).factors
+def test_factor_is_deterministic(tmp_path, capsys):
+    # Products of several distinct factors of one degree go through
+    # equal-degree splitting, the only randomized step, in odd
+    # characteristic and in characteristic 2.
+    polys = []
+    for q in (8, 9, 25):
+        f = get_field(q)
+        rng = random.Random(q)
+        linear = Poly.one(f)
+        for a in range(6):
+            linear = linear * Poly(f, (a, 1))
+        polys.append(linear)
+        polys.append(Poly(f, [rng.randrange(q) for _ in range(12)] + [1]))
+
+    def text(fact):
+        return json.dumps(serialize.factorization_to_json(fact), separators=(",", ":")) + "\n"
+
+    for i, poly in enumerate(polys):
+        first = text(factor(poly))
+        assert text(factor(poly)) == first
+        path = tmp_path / f"poly{i}.json"
+        path.write_text(json.dumps(serialize.poly_to_json(poly)), encoding="utf-8")
+        outs = []
+        for _ in range(2):
+            assert main(["factor", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == first
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27])
@@ -145,7 +170,7 @@ def test_factor_random_roundtrip(q):
         deg = rng.randint(1, 20)
         coeffs = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
         poly = Poly(f, coeffs)
-        fact = factor(poly, seed=5)
+        fact = factor(poly)
         assert fact.expand() == poly
         for g, m in fact.factors:
             assert m >= 1
