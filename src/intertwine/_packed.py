@@ -1,5 +1,5 @@
-"""Gauss-Jordan elimination, matrix products, row updates and codeword rows,
-byte-packed over small fields.
+"""Gauss-Jordan elimination, matrix and polynomial products, polynomial
+division, row updates and codeword rows, byte-packed over small fields.
 
 A row of m entries is one Python int made from m bytes, one byte per entry,
 most significant first, so the entry in column c is
@@ -11,11 +11,17 @@ mapped through a 256-byte table with ``bytes.translate``.
   bytes, because a byte sum is at most 2(p - 1) <= 252; one ``translate``
   by the table of x mod p then reduces every byte.
 
-Other fields do not qualify and keep the list loops in ``Matrix.rref`` and
-``Matrix.__mul__``.  This is the word-packed elimination of M4RI (Albrecht,
-Bard, Hart, ACM TOMS 2010) with bytes for words.  A product sums up to
-255 // (p - 1) prime-field rows before it reduces, since no byte can pass
-255 before then.
+Other fields do not qualify and keep the list loops in ``Matrix.rref``,
+``Matrix.__mul__``, ``Poly.__mul__`` and ``Poly.__divmod__``.  This is the
+word-packed elimination of M4RI (Albrecht, Bard, Hart, ACM TOMS 2010) with
+bytes for words.  A product sums up to 255 // (p - 1) prime-field rows
+before it reduces, since no byte can pass 255 before then.
+
+``_poly`` keeps a polynomial as one int of deg + 1 bytes, coefficient i in
+byte i (little-endian), so a shift by 8 * i multiplies by t^i; products
+and remainders are sums of shifted row multiples as above (schoolbook
+multiplication and division, von zur Gathen and Gerhard, Modern Computer
+Algebra, sections 2.3 and 2.4).
 
 ``_axpy_ops`` gives the row updates x + c*y of the intertwiner solver in
 ``codes`` on the same rows, and plain lists for fields that do not qualify.
@@ -32,9 +38,28 @@ from __future__ import annotations
 
 from operator import xor
 
-# field -> {c: 256-byte table of x -> c*x}, each built on first use from
-# field.mul.  The tables depend on the field alone.
+
+class _Scales(dict):
+    """c -> 256-byte table of x -> c*x over one field, built from field.mul
+    on first use.  Prime-field tables cover every byte value, so the table
+    of 1 is x mod p."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, c):
+        f = self.field
+        size = f.q if f.p == 2 else 256
+        table = self[c] = bytes([f.mul(c, x) for x in range(size)]) + bytes(256 - size)
+        return table
+
+
+# field -> its _Scales
 _SCALES = {}
+# Below this size the list loops in Poly are faster: setting up a packed
+# product or division costs about as much as 32 field calls.  Keeping tiny
+# operands there keeps the default-modulus search of ``fields`` as fast.
+_POLY_MIN_PAIRS = 32
 
 
 def _byte_field(field):
@@ -44,22 +69,10 @@ def _byte_field(field):
     return p == 2 and field.q <= 256 or field.e == 1 and p < 128
 
 
-def _scaler(field):
-    """The function c -> 256-byte table of x -> c*x, cached per field.
-
-    Prime-field tables cover every byte value, so the table of 1 is x mod p.
-    """
-    scales = _SCALES.setdefault(field, {})
-    mul = field.mul
-    size = field.q if field.p == 2 else 256
-    pad = bytes(256 - size)
-
-    def scale(c):
-        table = scales.get(c)
-        if table is None:
-            table = scales[c] = bytes([mul(c, x) for x in range(size)]) + pad
-        return table
-
+def _scales(field):
+    scale = _SCALES.get(field)
+    if scale is None:
+        scale = _SCALES[field] = _Scales(field)
     return scale
 
 
@@ -72,8 +85,8 @@ def _rref(field, nrows, ncols, entries):
     if not _byte_field(field):
         return None
     neg, inv = field.neg, field.inv
-    scale = _scaler(field)
-    reduce = None if field.p == 2 else scale(1)
+    scale = _scales(field)
+    reduce = None if field.p == 2 else scale[1]
     n, m = nrows, ncols
     flat = bytes(entries)
     rows = [int.from_bytes(flat[i * m:(i + 1) * m], "big") for i in range(n)]
@@ -90,7 +103,7 @@ def _rref(field, nrows, ncols, entries):
         top = rows[r].to_bytes(m, "big")
         pv = top[c]
         if pv != 1:
-            top = top.translate(scale(inv(pv)))
+            top = top.translate(scale[inv(pv)])
             rows[r] = int.from_bytes(top, "big")
         # the multiple of the pivot row that clears column c, per multiplier
         scaled = {}
@@ -99,7 +112,7 @@ def _rref(field, nrows, ncols, entries):
             if ci and i != r:
                 add = scaled.get(ci)
                 if add is None:
-                    add = scaled[ci] = int.from_bytes(top.translate(scale(neg(ci))), "big")
+                    add = scaled[ci] = int.from_bytes(top.translate(scale[neg(ci)]), "big")
                 if reduce is None:
                     rows[i] ^= add
                 else:
@@ -119,7 +132,7 @@ def _matmul(field, n, m, k, a, b):
     """
     if not _byte_field(field):
         return None
-    scale = _scaler(field)
+    scale = _scales(field)
     flat = bytes(b)
     brows = [flat[t * k:(t + 1) * k] for t in range(m)]
     out = []
@@ -128,12 +141,12 @@ def _matmul(field, n, m, k, a, b):
             acc = 0
             for c, brow in zip(a[i * m:(i + 1) * m], brows):
                 if c:
-                    acc ^= int.from_bytes(brow.translate(scale(c)), "big")
+                    acc ^= int.from_bytes(brow.translate(scale[c]), "big")
             out.append(acc.to_bytes(k, "big"))
         return b"".join(out)
     # A byte sum stays below 256 for up to 255 // (p - 1) terms, each at most
     # p - 1; after that the sum is reduced and counts as one term.
-    reduce = scale(1)
+    reduce = scale[1]
     limit = 255 // (field.p - 1)
     for i in range(n):
         acc = terms = 0
@@ -142,10 +155,71 @@ def _matmul(field, n, m, k, a, b):
                 if terms == limit:
                     acc = int.from_bytes(acc.to_bytes(k, "big").translate(reduce), "big")
                     terms = 1
-                acc += int.from_bytes(brow.translate(scale(c)), "big")
+                acc += int.from_bytes(brow.translate(scale[c]), "big")
                 terms += 1
         out.append(acc.to_bytes(k, "big").translate(reduce))
     return b"".join(out)
+
+
+def _poly(field, a, b, divide=False):
+    """a * b, or with divide (quotient, remainder) of a by b, as bytes of
+    ascending coefficients that may end in zeros; b is nonzero and, to
+    divide, no longer than a.  Returns None when the field does not qualify
+    (see ``_byte_field``) or the list loop makes at most _POLY_MIN_PAIRS
+    coefficient products.
+
+    A product adds the multiples c * b shifted by i for the nonzero
+    coefficients c = a_i of the shorter factor; division subtracts one per
+    quotient coefficient.  Prime-field sums are reduced as in ``_matmul``.
+    """
+    pairs = (len(a) - len(b) + 1) * len(b) if divide else len(a) * len(b)
+    if pairs <= _POLY_MIN_PAIRS or not _byte_field(field):
+        return None
+    scale = _scales(field)
+    reduce = None if field.p == 2 else scale[1]
+    limit = 255 // (field.p - 1)
+    if divide:
+        size, db = len(a), len(b) - 1
+        # the top byte x of the running remainder gives the quotient
+        # coefficient quot[x] and the multiple sub[x] of b that clears it;
+        # the dividend counts as one term
+        inv = field.inv(b[-1])
+        quot, sub = scale[inv], scale[field.neg(inv)]
+        acc = int.from_bytes(bytes(a), "little")
+        out = bytearray(size - db)
+        steps = range(size - db - 1, -1, -1)
+        terms = 1
+    else:
+        if len(a) > len(b):
+            a, b = b, a
+        size = len(a) + len(b) - 1
+        acc = terms = 0
+        steps = range(len(a))
+    brow = bytes(b)
+    rows = {}
+    for i in steps:
+        if divide:
+            top = (acc >> 8 * (i + db)) & 255
+            out[i] = quot[top]
+            c = sub[top]
+        else:
+            c = a[i]
+        if c:
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = int.from_bytes(brow.translate(scale[c]), "little")
+            if reduce is None:
+                acc ^= row << 8 * i
+                continue
+            if terms == limit:
+                acc = int.from_bytes(acc.to_bytes(size, "little").translate(reduce), "little")
+                terms = 1
+            acc += row << 8 * i
+            terms += 1
+    flat = acc.to_bytes(size, "little")
+    if reduce is not None:
+        flat = flat.translate(reduce)
+    return (bytes(out), flat[:db]) if divide else flat
 
 
 def _axpy_ops(field, n):
@@ -163,7 +237,7 @@ def _axpy_ops(field, n):
             return [add(a, mul(c, b)) if b else a for a, b in zip(x, y)]
 
         return list, axpy, list
-    scale = _scaler(field)
+    scale = _scales(field)
 
     def pack(entries):
         return int.from_bytes(bytes(entries), "big")
@@ -173,12 +247,12 @@ def _axpy_ops(field, n):
 
     if field.p == 2:
         def axpy(x, c, y):
-            return x ^ int.from_bytes(y.to_bytes(n, "big").translate(scale(c)), "big")
+            return x ^ int.from_bytes(y.to_bytes(n, "big").translate(scale[c]), "big")
     else:
-        reduce = scale(1)
+        reduce = scale[1]
 
         def axpy(x, c, y):
-            total = x + int.from_bytes(y.to_bytes(n, "big").translate(scale(c)), "big")
+            total = x + int.from_bytes(y.to_bytes(n, "big").translate(scale[c]), "big")
             return int.from_bytes(total.to_bytes(n, "big").translate(reduce), "big")
 
     return pack, axpy, unpack

@@ -40,54 +40,64 @@ def primary_decomposition(a: Matrix) -> tuple[PrimaryComponent, ...]:
     """Split a square matrix into (irreducible, multiplicity, partition) data.
 
     The components come sorted by (degree, coefficient encoding) of their
-    irreducible, the order of ``factor``.
-
-    For each irreducible factor p of the characteristic polynomial, the
-    nullities n_j = dim ker p(a)^j are computed until they stabilize; the
-    block-count sequence (n_j - n_{j-1}) / deg p must be weakly decreasing and
-    its conjugate is the component partition.  Violations of divisibility or
-    monotonicity can only come from an arithmetic bug and raise
-    InternalInconsistencyError.
+    irreducible, the order of ``factor``; see ``_component`` for how each is
+    found.
     """
+    return tuple(_component(a, irr, mult) for irr, mult in _factors(a))
+
+
+def _factors(a: Matrix) -> tuple[tuple[Poly, int], ...]:
+    """The (irreducible, multiplicity) factors of the characteristic
+    polynomial, none for the 0x0 matrix, whose characteristic polynomial is
+    the constant 1."""
     if not a.is_square:
         raise NotSquareError("primary decomposition needs a square matrix")
+    return factor(a.charpoly()).factors if a.nrows else ()
+
+
+def _component(a: Matrix, irr: Poly, mult: int) -> PrimaryComponent:
+    """The primary component of an irreducible factor irr of multiplicity
+    mult in the characteristic polynomial of a.
+
+    The nullities n_j = dim ker irr(a)^j are computed until they reach
+    deg(irr) * mult; the block-count sequence (n_j - n_{j-1}) / deg irr must
+    be weakly decreasing and its conjugate is the component partition.
+    Violations of divisibility or monotonicity can only come from an
+    arithmetic bug and raise InternalInconsistencyError.
+    """
     n = a.nrows
-    comps = []
-    if n:
-        for irr, mult in factor(a.charpoly()).factors:
-            d = irr.degree
-            target = d * mult
-            pa = poly_eval(irr, a)
-            power = pa
-            blocks = []
-            prev = 0
-            while True:
-                nullity = n - power.rref()[1]
-                delta = nullity - prev
-                if delta <= 0 or delta % d:
-                    raise InternalInconsistencyError(
-                        f"nullity step {delta} for factor {irr!r} is not a positive multiple of {d}"
-                    )
-                if blocks and delta // d > blocks[-1]:
-                    raise InternalInconsistencyError(
-                        f"block counts for factor {irr!r} are not weakly decreasing"
-                    )
-                blocks.append(delta // d)
-                if nullity == target:
-                    break
-                if len(blocks) > mult:
-                    raise InternalInconsistencyError(
-                        f"nullity chain for factor {irr!r} failed to stabilize"
-                    )
-                prev = nullity
-                power = power * pa
-            partition = Partition(blocks).conjugate()
-            if partition.weight != mult:
-                raise InternalInconsistencyError(
-                    f"partition weight {partition.weight} != multiplicity {mult} for {irr!r}"
-                )
-            comps.append(PrimaryComponent(irr, mult, partition))
-    return tuple(comps)
+    d = irr.degree
+    target = d * mult
+    pa = poly_eval(irr, a)
+    power = pa
+    blocks = []
+    prev = 0
+    while True:
+        nullity = n - power.rref()[1]
+        delta = nullity - prev
+        if delta <= 0 or delta % d:
+            raise InternalInconsistencyError(
+                f"nullity step {delta} for factor {irr!r} is not a positive multiple of {d}"
+            )
+        if blocks and delta // d > blocks[-1]:
+            raise InternalInconsistencyError(
+                f"block counts for factor {irr!r} are not weakly decreasing"
+            )
+        blocks.append(delta // d)
+        if nullity == target:
+            break
+        if len(blocks) > mult:
+            raise InternalInconsistencyError(
+                f"nullity chain for factor {irr!r} failed to stabilize"
+            )
+        prev = nullity
+        power = power * pa
+    partition = Partition(blocks).conjugate()
+    if partition.weight != mult:
+        raise InternalInconsistencyError(
+            f"partition weight {partition.weight} != multiplicity {mult} for {irr!r}"
+        )
+    return PrimaryComponent(irr, mult, partition)
 
 
 def nilpotent_matrix(field, lam: Partition) -> Matrix:

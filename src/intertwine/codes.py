@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from ._packed import _axpy_ops, _row_ops
-from .canonical import primary_decomposition
+from .canonical import _component, _factors
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -234,20 +234,23 @@ class DimensionBreakdown:
 def dimension_formula(a: Matrix, b: Matrix) -> DimensionBreakdown:
     """Closed-form dim of the intertwiner space of a single pair.
 
-    Both matrices are primary-decomposed; every irreducible p dividing both
-    characteristic polynomials contributes deg(p) times the conjugate-product
-    pairing of its two partitions.  Equals the kernel-oracle dimension.
+    Every irreducible p dividing both characteristic polynomials contributes
+    deg(p) times the conjugate-product pairing of its two component
+    partitions; a factor of one side only contributes nothing, so only the
+    shared factors are decomposed (``canonical._component``).  Equals the
+    kernel-oracle dimension.
     """
     _check_pair(a, b)
-    by_irr = {c.irr: c for c in primary_decomposition(b)}
+    b_mult = dict(_factors(b))
     terms = []
     total = 0
-    for ca in primary_decomposition(a):
-        cb = by_irr.get(ca.irr)
-        if cb is None:
+    for irr, mult in _factors(a):
+        if irr not in b_mult:
             continue
-        amount = ca.degree * conjugate_product([ca.partition, cb.partition])
-        terms.append(FactorTerm(ca.irr, ca.partition, cb.partition, amount))
+        lam = _component(a, irr, mult).partition
+        mu = _component(b, irr, b_mult[irr]).partition
+        amount = irr.degree * conjugate_product([lam, mu])
+        terms.append(FactorTerm(irr, lam, mu, amount))
         total += amount
     return DimensionBreakdown(total, tuple(terms))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._packed import _poly
 from .errors import (
     BothZeroError,
     ConstantPolynomialError,
@@ -38,20 +39,32 @@ class Poly:
         self.field = field
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _raw(cls, field, coeffs):
+        """A polynomial from valid encodings, such as the result of arithmetic;
+        trailing zeros are trimmed, nothing else is checked."""
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = tuple(cs)
+        return f
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._raw(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return cls._raw(field, (1,))
 
     @classmethod
     def t(cls, field):
         """The generator t of the polynomial ring."""
-        return cls(field, (0, 1))
+        return cls._raw(field, (0, 1))
 
     @classmethod
     def constant(cls, field, c):
@@ -94,23 +107,16 @@ class Poly:
         add = f.add
         for i, c in enumerate(b):
             out[i] = add(out[i], c)
-        return Poly(f, out)
+        return Poly._raw(f, out)
 
     def __neg__(self):
         neg = self.field.neg
-        return Poly(self.field, [neg(c) for c in self.coeffs])
+        return Poly._raw(self.field, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._same_field(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * max(0, len(b) - len(a))
-        sub = f.sub
-        for i, c in enumerate(b):
-            out[i] = sub(out[i], c)
-        return Poly(f, out)
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -120,6 +126,9 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
+        packed = _poly(f, a, b)
+        if packed is not None:
+            return Poly._raw(f, packed)
         out = [0] * (len(a) + len(b) - 1)
         add, mul = f.add, f.mul
         for i, x in enumerate(a):
@@ -127,7 +136,7 @@ class Poly:
                 for j, y in enumerate(b):
                     if y:
                         out[i + j] = add(out[i + j], mul(x, y))
-        return Poly(f, out)
+        return Poly._raw(f, out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -145,7 +154,7 @@ class Poly:
     def scale(self, c: int):
         """Multiply every coefficient by the field element c."""
         mul = self.field.mul
-        return Poly(self.field, [mul(c, x) for x in self.coeffs])
+        return Poly._raw(self.field, [mul(c, x) for x in self.coeffs])
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -157,6 +166,9 @@ class Poly:
         db = other.degree
         if self.degree < db:
             return Poly.zero(f), self
+        packed = _poly(f, self.coeffs, other.coeffs, divide=True)
+        if packed is not None:
+            return Poly._raw(f, packed[0]), Poly._raw(f, packed[1])
         a = list(self.coeffs)
         bq = other.coeffs
         inv_lead = f.inv(bq[-1])
@@ -170,7 +182,7 @@ class Poly:
                 for j in range(db + 1):
                     if bq[j]:
                         a[i + j] = sub(a[i + j], mul(c, bq[j]))
-        return Poly(f, qcoeffs), Poly(f, a[:db])
+        return Poly._raw(f, qcoeffs), Poly._raw(f, a[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -201,7 +213,7 @@ class Poly:
         out = []
         for i in range(1, len(self.coeffs)):
             out.append(mul(from_int(i), self.coeffs[i]))
-        return Poly(f, out)
+        return Poly._raw(f, out)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -265,7 +277,7 @@ def _pth_root_poly(f: Poly) -> Poly:
     out = []
     for i in range(0, f.degree + 1, p):
         out.append(field.pth_root(f.coeffs[i]))
-    return Poly(field, out)
+    return Poly._raw(field, out)
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -344,7 +356,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             continue
         split = None
         while split is None:
-            a = Poly(field, [rng.randrange(q) for _ in range(h.degree)])
+            a = Poly._raw(field, [rng.randrange(q) for _ in range(h.degree)])
             if a.degree < 1:
                 continue
             g = gcd(a, h)

@@ -3,13 +3,17 @@
 from itertools import product
 
 from intertwine import (
+    DimensionBreakdown,
+    FactorTerm,
     FiniteField,
     IntertwiningCode,
     Matrix,
     Partition,
     Poly,
+    conjugate_product,
     direct_sum,
     generalized_jordan_matrix,
+    primary_decomposition,
 )
 
 _FIELD_CACHE = {}
@@ -199,3 +203,56 @@ def reference_intertwiner_basis(a_list, b_list):
     system = Matrix(field, len(rows), n, [v for row in rows for v in row])
     return IntertwiningCode(field, r, s, [Matrix(field, r, s, vec.entries)
                                           for vec in system.nullspace()])
+
+
+def reference_poly_mul(f, g):
+    """f * g by the schoolbook loop, one field call per coefficient pair."""
+    field = f.field
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return Poly.zero(field)
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = field.add, field.mul
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return Poly(field, out)
+
+
+def reference_poly_divmod(f, g):
+    """(quotient, remainder) of f by a nonzero g by schoolbook long division,
+    one field call per coefficient operation."""
+    field = f.field
+    db = g.degree
+    if f.degree < db:
+        return Poly.zero(field), f
+    a = list(f.coeffs)
+    bq = g.coeffs
+    inv_lead = field.inv(bq[-1])
+    sub, mul = field.sub, field.mul
+    qcoeffs = [0] * (f.degree - db + 1)
+    for i in range(f.degree - db, -1, -1):
+        top = a[i + db]
+        if top:
+            c = mul(top, inv_lead)
+            qcoeffs[i] = c
+            for j in range(db + 1):
+                if bq[j]:
+                    a[i + j] = sub(a[i + j], mul(c, bq[j]))
+    return Poly(field, qcoeffs), Poly(field, a[:db])
+
+
+def reference_dimension_formula(a, b):
+    """The closed-form dimension from two full primary decompositions,
+    paired by irreducible: the components that only one side has are
+    computed and then dropped."""
+    by_irr = {c.irr: c for c in primary_decomposition(b)}
+    terms = []
+    for ca in primary_decomposition(a):
+        cb = by_irr.get(ca.irr)
+        if cb is not None:
+            amount = ca.degree * conjugate_product([ca.partition, cb.partition])
+            terms.append(FactorTerm(ca.irr, ca.partition, cb.partition, amount))
+    return DimensionBreakdown(sum(t.contribution for t in terms), tuple(terms))

@@ -32,12 +32,14 @@ from intertwine import (
     spectral_bounds,
     syndrome,
 )
+from intertwine.polys import encoding
 from support import (
     get_field,
     min_sum,
     planted_matrix,
     rand_invertible,
     rand_matrix,
+    reference_dimension_formula,
     reference_intertwiner_basis,
     reference_min_distance,
 )
@@ -244,6 +246,61 @@ def test_dimension_formula_examples():
 
     empty = dimension_formula(Matrix.identity(F2, 2), Matrix.zero(F2, 2, 2))
     assert empty.total == 0 and empty.terms == ()
+
+
+# (q, components of A, components of B), written as in SPECTRAL_SIZE_PAIRS:
+# each side has irreducibles the other lacks, and the last two pairs are
+# coprime.
+SHARED_ONLY_PAIRS = [
+    (2, [((0, 1), [2, 1]), ((1, 1, 0, 1), [1]), (None, [1])],
+     [((0, 1), [3]), ((1, 0, 1, 1), [1]), (None, [2]), ((1, 1), [1])]),
+    (5, [((0, 1), [2]), ((1, 1), [1, 1]), ((3, 1), [3])],
+     [((1, 1), [2]), ((2, 1), [2]), (None, [1])]),
+    (16, [((2, 1), [2, 2]), (None, [1])], [((2, 1), [3]), ((3, 1), [2])]),
+    (9, [((0, 1), [2, 1]), (None, [1])], [((0, 1), [1, 1]), ((1, 1), [2])]),
+    (3, [((0, 1), [2, 1])], [((1, 1), [2]), (None, [1])]),
+    (7, [((1, 1), [1]), (None, [2, 1])], [((0, 1), [3])]),
+]
+
+
+@pytest.mark.parametrize("q, a_comps, b_comps", SHARED_ONLY_PAIRS,
+                         ids=[str(q) for q, _, _ in SHARED_ONLY_PAIRS])
+def test_shared_only_closed_form_matches_full_pairing(q, a_comps, b_comps):
+    f = get_field(q)
+    quad = _irreducible(f, 2)
+    rng = random.Random(q)
+    a = planted_matrix(rng, f, [(coeffs or quad, parts) for coeffs, parts in a_comps])
+    b = planted_matrix(rng, f, [(coeffs or quad, parts) for coeffs, parts in b_comps])
+    breakdown = dimension_formula(a, b)
+    assert breakdown == reference_dimension_formula(a, b)
+    assert breakdown.total == intertwiner_basis([a], [b]).k
+    shared = {coeffs or quad for coeffs, _ in a_comps} & {coeffs or quad for coeffs, _ in b_comps}
+    assert [t.irr.coeffs for t in breakdown.terms] == sorted(
+        shared, key=lambda c: (len(c), encoding(Poly(f, c))))
+    if not shared:
+        assert breakdown.total == 0 and breakdown.terms == ()
+        assert is_zero_code(a, b)
+    # a matrix against itself shares every irreducible
+    assert dimension_formula(a, a) == reference_dimension_formula(a, a)
+    assert dimension_formula(a, a).total == intertwiner_basis([a], [a]).k
+
+
+def test_shared_only_closed_form_on_random_and_empty_pairs():
+    rng = random.Random(113)
+    for q in (2, 3, 4, 5, 7, 9):
+        field = get_field(q)
+        for _ in range(8):
+            r, s = rng.randint(1, 5), rng.randint(1, 5)
+            a = rand_matrix(rng, field, r, r)
+            b = rand_matrix(rng, field, s, s)
+            assert dimension_formula(a, b) == reference_dimension_formula(a, b)
+            assert dimension_formula(a, b).total == intertwiner_basis([a], [b]).k
+        # the 0x0 matrix has characteristic polynomial 1 and no component
+        empty = Matrix.zero(field, 0, 0)
+        for m in (empty, a):
+            for pair in ((empty, m), (m, empty)):
+                assert dimension_formula(*pair) == reference_dimension_formula(*pair)
+                assert dimension_formula(*pair).terms == ()
 
 
 def test_is_zero_code_examples():

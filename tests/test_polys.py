@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,10 @@ from intertwine import (
     is_irreducible,
     squarefree_decomposition,
 )
-from intertwine import serialize
+from intertwine import _packed, polys, serialize
 from intertwine.cli import main
 from intertwine.polys import encoding
-from support import get_field
+from support import get_field, reference_poly_divmod, reference_poly_mul
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -85,6 +86,75 @@ def test_divmod_identity(data):
     quot, rem = divmod(a, b)
     assert quot * b + rem == a
     assert rem.degree < b.degree
+
+
+# Fields whose polynomial products and remainders run on packed rows, then
+# fields that keep the list loops: odd-characteristic extension, p >= 128,
+# q > 256.  GF(127) fits only two terms in a byte before it must reduce.
+POLY_PACKED_ORDERS = (2, 4, 8, 16, 256, 3, 5, 7, 127)
+POLY_LIST_ORDERS = (9, 131, 1024)
+
+
+@st.composite
+def poly_operands(draw):
+    """(f, g) over one field: f of degree -1..80, g nonzero of degree 0..80,
+    with zero, constant, non-monic and shorter-than-divisor cases."""
+    field = get_field(draw(st.sampled_from(POLY_PACKED_ORDERS + POLY_LIST_ORDERS)))
+    q = field.q
+    entry = st.one_of(st.just(0), st.just(1), st.just(q - 1), st.integers(0, q - 1))
+    leading = st.one_of(st.just(1), st.just(q - 1), st.integers(1, q - 1))
+
+    def poly(lowest):
+        degree = draw(st.one_of(st.integers(lowest, 1), st.integers(lowest, 80)))
+        if degree < 0:
+            return Poly.zero(field)
+        return Poly(field, draw(st.lists(entry, min_size=degree, max_size=degree))
+                    + [draw(leading)])
+
+    return poly(-1), poly(0)
+
+
+def list_loop(fn, *args):
+    # the list loops in Poly are the reference for every field
+    with mock.patch.object(polys, "_poly", lambda *_, **__: None):
+        return fn(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_operands())
+def test_poly_kernel_matches_list_loop(operands):
+    f, g = operands
+    assert f * g == g * f == reference_poly_mul(f, g)
+    assert divmod(f, g) == reference_poly_divmod(f, g) == list_loop(divmod, f, g)
+    assert gcd(f, g) == list_loop(gcd, f, g)
+    if 1 <= f.degree <= 30:
+        assert factor(f) == list_loop(factor, f)
+
+
+@pytest.mark.parametrize("q", POLY_PACKED_ORDERS)
+def test_poly_kernel_on_dense_top_coefficients(q):
+    # every coefficient q - 1, and more terms than a byte holds over GF(3):
+    # prime-field byte sums reach their bound before each reduction
+    field = get_field(q)
+    f = Poly(field, [q - 1] * 161)
+    g = Poly(field, [q - 1] * 131)
+    assert f * g == reference_poly_mul(f, g)
+    assert divmod(f, g) == reference_poly_divmod(f, g)
+    h = f * g + g.scale(q - 1)
+    assert divmod(h, f) == reference_poly_divmod(h, f)
+
+
+def test_packed_polynomials_cover_exactly_the_byte_fields():
+    # the list loop makes 3 * 11 coefficient products for 3 x 11 coefficients
+    # and for 13 / 11, enough for the packed kernel, and 4 * 8 for 4 x 8 and
+    # 11 / 8, which stay on the list loop
+    for q in POLY_PACKED_ORDERS + POLY_LIST_ORDERS:
+        field = get_field(q)
+        packed = q in POLY_PACKED_ORDERS
+        assert (_packed._poly(field, (1,) * 3, (1,) * 11) is not None) == packed
+        assert (_packed._poly(field, (1,) * 13, (1,) * 11, divide=True) is not None) == packed
+        assert _packed._poly(field, (1,) * 4, (1,) * 8) is None
+        assert _packed._poly(field, (1,) * 11, (1,) * 8, divide=True) is None
 
 
 def test_squarefree_examples():
