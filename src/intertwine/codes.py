@@ -65,10 +65,10 @@ class IntertwiningCode:
 
     def codeword(self, coefficients) -> Matrix:
         """The linear combination of basis elements with the given coefficients."""
-        coefficients = list(coefficients)
+        f = self.field
+        coefficients = [f._element(c) for c in coefficients]
         if len(coefficients) != self.k:
             raise SizeMismatchError(f"expected {self.k} coefficients, got {len(coefficients)}")
-        f = self.field
         add, mul = f.add, f.mul
         acc = [0] * self.n
         for c, mat in zip(coefficients, self.basis):

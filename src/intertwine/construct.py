@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import DEFAULT_BUDGET, IntertwiningCode, intertwiner_basis, min_distance
+from .codes import (
+    DEFAULT_BUDGET,
+    IntertwiningCode,
+    dimension_formula,
+    intertwiner_basis,
+    min_distance,
+)
 from .errors import (
     BadKError,
     FieldTooSmallError,
@@ -95,77 +101,62 @@ def _choose_gamma(field, s, k):
     raise InternalInconsistencyError("no admissible gamma despite q >= k + 2")
 
 
-def construct_code(r, s, k, field, *, check=True) -> Certificate:
+def construct_code(r, s, k, field) -> Certificate:
     """Build a pair (A, B) whose code has dimension k and minimum distance
     floor(r/k) * s, together with the full witness data.
 
-    Requires q >= k + 2.  With check=True (the default) the certificate is
-    re-verified at every size: the codewords X_l must span the kernel-oracle
-    code of (A, B), and their pairwise disjoint supports must put the
-    lightest weight at the claimed distance; otherwise
-    InternalInconsistencyError is raised.  check=False skips this
-    self-check so that large shapes can still be built: its oracle solves
-    for r unknowns per Hessenberg block of B, and B here has s - k + 1
-    blocks.  construct_code(40, 40, 2, GF(5)) takes about 3 ms unchecked
-    and 9 s checked (Python 3.11, one Xeon core).
+    Requires q >= k + 2.  The certificate is re-verified at every size
+    without solving for the code: every codeword X_l must intertwine (A, B),
+    the closed-form dimension of (A, B) must be k, and the X_l must have
+    nonempty, pairwise disjoint supports, which makes them independent, so
+    they span the code, and puts its minimum distance at the lightest X_l;
+    otherwise InternalInconsistencyError is raised.
     """
     a0, b0, zetas, alpha, beta = _seed(r, s, k, field, k + 2)
-
-    width = r // k
-    blocks = []
-    for ell in range(1, k):
-        blocks.append(tuple(range((ell - 1) * width + 1, ell * width + 1)))
-    blocks.append(tuple(range((k - 1) * width + 1, r + 1)))  # last block absorbs the remainder
+    blocks = _row_blocks(r, k)
 
     gamma = _choose_gamma(field, s, k)
-    u_rows = []
-    for ell in range(k):
-        row = [1] * s
-        row[ell] = gamma
-        u_rows.append(tuple(row))
+    u_rows = [tuple(gamma if j == ell else 1 for j in range(s)) for ell in range(k)]
     s_mat = complete_invertible(field, u_rows, s, mode="rows")
 
-    v_cols = []
-    for block in blocks:
-        col = [0] * r
-        for i in block:
-            col[i - 1] = 1
-        v_cols.append(tuple(col))
+    v_cols = [tuple(int(i in block) for i in range(1, r + 1)) for block in blocks]
     t_mat = complete_invertible(field, v_cols, r, mode="columns")
     r_mat = t_mat.inverse()
 
     a = t_mat * a0 * r_mat
     b = s_mat.inverse() * b0 * s_mat
-
-    f = field
-    x_words = []
-    for ell in range(k):
-        col = v_cols[ell]
-        row = u_rows[ell]
-        ent = []
-        for ci in col:
-            ent.extend(row if ci else (0,) * s)
-        x_words.append(Matrix(f, r, s, ent))
+    # X_l = v_l u_l, with v_l a 0/1 indicator
+    x_words = [Matrix(field, r, s, [c * v for c in col for v in row])
+               for col, row in zip(v_cols, u_rows)]
 
     cert = Certificate(
         field=field, r=r, s=s, k=k, A0=a0, B0=b0,
         zetas=zetas, alpha=alpha, beta=beta, gamma=gamma,
         R=r_mat, S=s_mat, A=a, B=b, X=tuple(x_words),
-        row_blocks=tuple(blocks), claimed_d=width * s,
+        row_blocks=blocks, claimed_d=(r // k) * s,
     )
-    if check:
-        _self_check(cert)
+    _self_check(cert)
     return cert
 
 
+def _row_blocks(total, k):
+    # the canonical layout of 1-based indices: k - 1 contiguous blocks of
+    # total // k, the last block taking the remainder
+    width = total // k
+    bounds = [ell * width for ell in range(k)] + [total]
+    return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def _self_check(cert):
-    # Both bases are canonical, so equality means the X_l span the oracle
-    # code; nonzero X_l with disjoint supports then make its dimension k.
-    code = intertwiner_basis([cert.A], [cert.B])
-    if IntertwiningCode(cert.field, cert.r, cert.s, cert.X) != code:
-        raise InternalInconsistencyError(
-            f"constructed codewords do not span the oracle code of dimension {code.k}"
-        )
+    # The X_l lie in the code.  _distance_problem passing means their
+    # supports are pairwise disjoint and, as the claimed distance is
+    # positive, nonempty, so the X_l are independent; with the code's
+    # closed-form dimension at k they span it.
+    if not all((cert.A * x - x * cert.B).is_zero for x in cert.X):
+        raise InternalInconsistencyError("a constructed codeword does not intertwine (A, B)")
+    k = dimension_formula(cert.A, cert.B).total
+    if k != cert.k:
+        raise InternalInconsistencyError(f"constructed code has dimension {k}, expected {cert.k}")
     problem = _distance_problem(cert.X, cert.claimed_d)
     if problem:
         raise InternalInconsistencyError(f"constructed code: {problem}")
@@ -184,17 +175,17 @@ def _distance_problem(xs, claimed_d):
     return ""
 
 
-def construct_extremal(r, s, field, *, check=True) -> Certificate:
+def construct_extremal(r, s, field) -> Certificate:
     """A pair whose code has dimension min(r, s) and distance max(r, s).
 
     For r <= s this is construct_code(r, s, r); otherwise the construction
     runs for the transposed shape and all witness data is transposed, using
     that X -> X^T maps the code of (A, B) onto the code of (B^T, A^T) with
-    weights preserved.
+    weights preserved.  The certificate gets construct_code's self-check.
     """
     if r <= s:
-        return construct_code(r, s, r, field, check=check)
-    base = construct_code(s, r, s, field, check=check)
+        return construct_code(r, s, r, field)
+    base = construct_code(s, r, s, field)
     return _transpose_certificate(base)
 
 
@@ -272,7 +263,7 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
         "seed scalars distinct", distinct == expected,
         "" if distinct == expected else f"{distinct} distinct of {expected}"))
 
-    blocks_ok = _blocks_cover(cert.row_blocks, r if not cert.transposed else s, k)
+    blocks_ok = tuple(cert.row_blocks) == _row_blocks(s if cert.transposed else r, k)
     checks.append(CertificateCheck(
         "row blocks partition the index set", blocks_ok,
         "" if blocks_ok else f"blocks {cert.row_blocks} do not partition"))
@@ -351,17 +342,6 @@ def _shape_problem(cert):
         if m.field != cert.field:
             return f"{name} is over {m.field}, the certificate over {cert.field}"
     return ""
-
-
-def _blocks_cover(blocks, total, k):
-    # the canonical layout: k-1 blocks of size floor(total/k), the last
-    # block absorbing the remainder, all contiguous
-    if len(blocks) != k or k < 1 or total < k:
-        return False
-    width = total // k
-    expected = [tuple(range((ell - 1) * width + 1, ell * width + 1)) for ell in range(1, k)]
-    expected.append(tuple(range((k - 1) * width + 1, total + 1)))
-    return list(blocks) == expected
 
 
 def _seed_diagonals_ok(cert):

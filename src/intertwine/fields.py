@@ -328,6 +328,12 @@ class FiniteField:
 
     # -- encoding ---------------------------------------------------------
 
+    def _element(self, x):
+        """x itself if it encodes an element (an int, not a bool, in 0..q-1)."""
+        if type(x) is not int or not 0 <= x < self.q:
+            raise ValueError(f"{x!r} is not an element encoding of {self}")
+        return x
+
     def coeffs(self, x):
         """Ascending coefficient vector of an encoded element."""
         if not isinstance(x, int) or not 0 <= x < self.q:

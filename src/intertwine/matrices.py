@@ -191,8 +191,9 @@ class Matrix:
         return Matrix._raw(f, n, k, out)
 
     def scale(self, c: int):
-        mul = self.field.mul
-        return Matrix(self.field, self.nrows, self.ncols, [mul(c, a) for a in self.entries])
+        """Multiply every entry by the field element c."""
+        c, mul = self.field._element(c), self.field.mul
+        return Matrix._raw(self.field, self.nrows, self.ncols, [mul(c, a) for a in self.entries])
 
     def transpose(self):
         n, m = self.nrows, self.ncols

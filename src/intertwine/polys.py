@@ -153,7 +153,7 @@ class Poly:
 
     def scale(self, c: int):
         """Multiply every coefficient by the field element c."""
-        mul = self.field.mul
+        c, mul = self.field._element(c), self.field.mul
         return Poly._raw(self.field, [mul(c, x) for x in self.coeffs])
 
     def __divmod__(self, other):
@@ -196,7 +196,8 @@ class Poly:
         """Scale to leading coefficient 1; monic(0) is 0."""
         if self.is_zero or self.is_monic:
             return self
-        return self.scale(self.field.inv(self.leading))
+        c, mul = self.field.inv(self.leading), self.field.mul
+        return Poly._raw(self.field, [mul(c, x) for x in self.coeffs])
 
     def evaluate(self, x: int) -> int:
         """Horner evaluation at a field element."""

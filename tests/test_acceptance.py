@@ -69,7 +69,7 @@ def construction_grid():
                 continue
             for r in range(k, 7):
                 for s in range(k, 7):
-                    cert = construct_code(r, s, k, field, check=False)
+                    cert = construct_code(r, s, k, field)
                     code = intertwiner_basis([cert.A], [cert.B])
                     d = min_distance(code) if code.k else None
                     grid.append((q, r, s, k, cert, code.k, d))
@@ -83,7 +83,7 @@ def extremal_grid():
         for s in range(1, 6):
             field = _least_field(min(r, s) + 2)
             q = field.q
-            cert = construct_extremal(r, s, field, check=False)
+            cert = construct_extremal(r, s, field)
             code = intertwiner_basis([cert.A], [cert.B])
             d = min_distance(code) if code.k else None
             grid.append((q, r, s, cert, code.k, d))

@@ -202,7 +202,7 @@ def test_verify_tampered_certificate(tmp_path, capsys):
 
 
 def test_verify_budget_skip_and_strict(tmp_path, capsys):
-    cert = construct_code(3, 3, 2, F5, check=False)
+    cert = construct_code(3, 3, 2, F5)
     cert_path = write_json(tmp_path / "cert.json", serialize.certificate_to_json(cert))
     code, out, err = run(capsys, ["verify", cert_path, "--budget", "3"])
     assert code == 0

@@ -605,3 +605,19 @@ def test_codeword_materializes_combinations():
     w = code.codeword([1, 2, 0, 1])
     expected = code.basis[0] + code.basis[1].scale(2) + code.basis[3]
     assert w == expected
+
+
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("bad", [-1, 7, True, 1.0])
+def test_scalar_inputs_are_element_encodings(q, bad):
+    # -1 once read log[-1], the log of the last element, and 7 indexed past
+    # the tables; a bool or a float is not an encoding either
+    field = get_field(q)
+    code = intertwiner_basis([Matrix.zero(field, 2, 2)], [Matrix.zero(field, 2, 2)])
+    for call in (lambda: code.codeword([bad, 0, 0, 0]),
+                 lambda: code.basis[0].scale(bad),
+                 lambda: Poly(field, [1, 1]).scale(bad)):
+        with pytest.raises(ValueError, match="not an element encoding"):
+            call()
+    assert code.codeword([q - 1, 0, 0, 1]) == code.basis[0].scale(q - 1) + code.basis[3]
+    assert Poly(field, [2, 1]).scale(q - 1) == Poly(field, [field.mul(2, q - 1), q - 1])

@@ -178,7 +178,7 @@ def test_verify_passes_on_fresh_certificates():
         k = rng.randint(1, min(4, q - 2))
         r = rng.randint(k, 5)
         s = rng.randint(k, 5)
-        cert = construct_code(r, s, k, field, check=False)
+        cert = construct_code(r, s, k, field)
         report = verify_certificate(cert)
         assert report.passed, [c for c in report.checks if not c.passed]
         assert not report.distance_skipped
@@ -211,7 +211,7 @@ def test_verify_flags_singular_conjugator():
 
 
 def test_verify_skips_distance_on_small_budget():
-    cert = construct_code(3, 3, 2, F5, check=False)
+    cert = construct_code(3, 3, 2, F5)
     report = verify_certificate(cert, budget=3)
     assert report.distance_skipped
     assert report.passed  # every other check still runs and passes
@@ -220,7 +220,7 @@ def test_verify_skips_distance_on_small_budget():
 
 def test_verify_confirms_distance_from_supports_beyond_budget():
     # 16^10 - 1 codewords are far beyond the default budget
-    cert = construct_code(20, 10, 10, get_field(16), check=False)
+    cert = construct_code(20, 10, 10, get_field(16))
     report = verify_certificate(cert)
     assert report.distance_skipped and report.passed
     assert cert.claimed_d == 20
@@ -239,10 +239,31 @@ def test_verify_flags_overlapping_supports():
 
 
 def test_builder_self_check_runs_at_every_size(monkeypatch):
-    # check=True is the default; the distance is proven from the disjoint
-    # supports, so 16^10 - 1 codewords are no reason to skip it
+    # The check never solves for the code: the dimension is the closed form
+    # and the distance comes from the disjoint supports, so neither a B with
+    # dozens of Hessenberg blocks nor 16^10 - 1 codewords is a reason to skip it
     assert construct_code(2, 2, 2, F5).claimed_d == 2
+    assert construct_code(40, 40, 2, F5).claimed_d == 800
     assert construct_code(20, 10, 10, get_field(16)).claimed_d == 20
+    assert construct_extremal(12, 30, get_field(16)).claimed_d == 30
+    # one entry changed keeps the supports disjoint but leaves the code
+    cert = construct_code(3, 2, 2, F5)
+    bent = list(cert.X[0].entries)
+    bent[1] = 2
+    with pytest.raises(InternalInconsistencyError, match="does not intertwine"):
+        construct._self_check(replace(cert, X=(Matrix(F5, 3, 2, bent), *cert.X[1:])))
+    # alpha = zeta_0 leaves every X_l in the code with the claimed weight, but
+    # A0 and B0 then share a second eigenspace and the code grows to dimension r
+    seed = construct._seed
+
+    def colliding_seed(r, s, k, field, need):
+        a0, b0, zetas, _, beta = seed(r, s, k, field, need)
+        return Matrix.diagonal(field, [*zetas, *[zetas[0]] * (r - k)]), b0, zetas, zetas[0], beta
+
+    with monkeypatch.context() as m:
+        m.setattr(construct, "_seed", colliding_seed)
+        with pytest.raises(InternalInconsistencyError, match="dimension 3, expected 2"):
+            construct_code(3, 2, 2, F5)
     # gamma = 0 zeroes one entry of each distinguished row of S, so every
     # codeword is lighter than the claim
     monkeypatch.setattr(construct, "_choose_gamma", lambda field, s, k: 0)

@@ -79,7 +79,7 @@ def test_certificate_roundtrip(cert_args):
 
 
 def test_certificate_parse_builds_each_field_once():
-    cert = construct_code(3, 2, 2, get_field(256), check=False)
+    cert = construct_code(3, 2, 2, get_field(256))
     back = serialize.certificate_from_json(json.loads(json.dumps(
         serialize.certificate_to_json(cert))))
     assert back.A.field is back.B.field is back.X[0].field is back.field
