@@ -1,5 +1,6 @@
-"""Gauss-Jordan elimination, matrix and polynomial products, polynomial
-division, row updates and codeword rows, byte-packed over small fields.
+"""Gauss-Jordan elimination, Hessenberg reduction, matrix and polynomial
+products, polynomial division, row updates and codeword rows, byte-packed
+over small fields.
 
 A row of m entries is one Python int made from m bytes, one byte per entry,
 most significant first, so the entry in column c is
@@ -12,7 +13,8 @@ mapped through a 256-byte table with ``bytes.translate``.
   by the table of x mod p then reduces every byte.
 
 Other fields do not qualify and keep the list loops in ``Matrix.rref``,
-``Matrix.__mul__``, ``Poly.__mul__`` and ``Poly.__divmod__``.  This is the
+``Matrix.__mul__``, ``matrices._hessenberg``, ``Poly.__mul__`` and
+``Poly.__divmod__``.  This is the
 word-packed elimination of M4RI (Albrecht, Bard, Hart, ACM TOMS 2010) with
 bytes for words.  A product sums up to 255 // (p - 1) prime-field rows
 before it reduces, since no byte can pass 255 before then.
@@ -22,6 +24,11 @@ byte i (little-endian), so a shift by 8 * i multiplies by t^i; products
 and remainders are sums of shifted row multiples as above (schoolbook
 multiplication and division, von zur Gathen and Gerhard, Modern Computer
 Algebra, sections 2.3 and 2.4).
+
+``_hessenberg`` reduces a square matrix to upper Hessenberg form by
+similarity on one flat byte string: a column's row updates are one sum over
+all the rows below the pivot, and its column updates sum the column slices
+``flat[i::n]``.  It takes orders n >= _HESS_MIN_N only.
 
 ``_axpy_ops`` gives the row updates x + c*y of the intertwiner solver in
 ``codes`` on the same rows, and plain lists for fields that do not qualify.
@@ -60,6 +67,8 @@ _SCALES = {}
 # product or division costs about as much as 32 field calls.  Keeping tiny
 # operands there keeps the default-modulus search of ``fields`` as fast.
 _POLY_MIN_PAIRS = 32
+# Below this order the list loop of ``matrices._hessenberg`` is faster.
+_HESS_MIN_N = 12
 
 
 def _byte_field(field):
@@ -159,6 +168,78 @@ def _matmul(field, n, m, k, a, b):
                 terms += 1
         out.append(acc.to_bytes(k, "big").translate(reduce))
     return b"".join(out)
+
+
+def _hessenberg(field, n, entries, transform):
+    """(h, p) as ``matrices._hessenberg`` computes them: the rows of H as
+    lists, and P's row-major entries when transform is true (else None).
+    Returns None when the field does not qualify (see ``_byte_field``) or n
+    is below _HESS_MIN_N.
+
+    H and P are flat bytearrays of n * n bytes.  At column j every multiplier
+    u_i = h_ij / h_kj (k = j + 1) is read before any update: no column update
+    touches column j, and the row update of row i is the only one to change
+    h_ij.  The row updates row_i -= u_i row_k of H and of P are one sum over
+    the rows below k, whose addend joins the multiples of row k; the column
+    update col_k += sum_i u_i col_i sums the slices ``flat[i::n]``, reduced
+    as in ``_matmul``.  Left and right updates commute, so H and P equal the
+    list loop's entry for entry.
+    """
+    if n < _HESS_MIN_N or not _byte_field(field):
+        return None
+    scale = _scales(field)
+    reduce = None if field.p == 2 else scale[1]
+    limit = 255 // (field.p - 1)
+    flat = bytearray(entries)
+    mats = [flat]
+    if transform:
+        pflat = bytearray(n * n)
+        pflat[::n + 1] = b"\1" * n
+        mats.append(pflat)
+    for j in range(n - 2):
+        k = j + 1
+        below = flat[k * n + j::n]
+        rest = below.lstrip(b"\0")
+        if not rest:
+            continue
+        piv = k + len(below) - len(rest)
+        lo, hi = k * n, (k + 1) * n
+        if piv != k:
+            for m in mats:
+                m[lo:hi], m[piv * n:(piv + 1) * n] = m[piv * n:(piv + 1) * n], m[lo:hi]
+            flat[k::n], flat[piv::n] = flat[piv::n], flat[k::n]
+        iv = field.inv(flat[lo + j])
+        col = flat[hi + j::n]
+        if not col.lstrip(b"\0"):
+            continue
+        negu = col.translate(scale[field.neg(iv)])
+        for m in mats:
+            top = m[lo:hi]
+            multiples = {c: top.translate(scale[c]) for c in set(negu)}
+            addend = int.from_bytes(b"".join([multiples[c] for c in negu]), "big")
+            size = len(m) - hi
+            if reduce is None:
+                m[hi:] = (int.from_bytes(m[hi:], "big") ^ addend).to_bytes(size, "big")
+            else:
+                total = int.from_bytes(m[hi:], "big") + addend
+                m[hi:] = total.to_bytes(size, "big").translate(reduce)
+        acc = int.from_bytes(flat[k::n], "big")
+        terms = 1
+        for i, c in enumerate(col.translate(scale[iv]), k + 1):
+            if c:
+                term = int.from_bytes(flat[i::n].translate(scale[c]), "big")
+                if reduce is None:
+                    acc ^= term
+                    continue
+                if terms == limit:
+                    acc = int.from_bytes(acc.to_bytes(n, "big").translate(reduce), "big")
+                    terms = 1
+                acc += term
+                terms += 1
+        out = acc.to_bytes(n, "big")
+        flat[k::n] = out if reduce is None else out.translate(reduce)
+    h = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+    return h, (bytes(pflat) if transform else None)
 
 
 def _poly(field, a, b, divide=False):

@@ -336,8 +336,7 @@ class FiniteField:
 
     def coeffs(self, x):
         """Ascending coefficient vector of an encoded element."""
-        if not isinstance(x, int) or not 0 <= x < self.q:
-            raise ValueError(f"{x!r} is not an element encoding of {self}")
+        x = self._element(x)
         out = []
         for _ in range(self.e):
             out.append(x % self.p)
@@ -349,7 +348,7 @@ class FiniteField:
         cs = tuple(cs)
         if len(cs) != self.e:
             raise ValueError(f"expected {self.e} coefficients, got {len(cs)}")
-        if any(not isinstance(c, int) or not 0 <= c < self.p for c in cs):
+        if any(type(c) is not int or not 0 <= c < self.p for c in cs):
             raise ValueError(f"coefficients must be integers in [0, {self.p})")
         v = 0
         for c in reversed(cs):

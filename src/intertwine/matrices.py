@@ -5,8 +5,9 @@ vectorization convention used throughout the library.  The characteristic
 polynomial comes from a similarity reduction to upper Hessenberg form
 (``_hessenberg``, which also serves the intertwiner solver of ``codes``) and
 the Hessenberg determinant recurrence, O(n^3) field operations in every
-characteristic.  Products and elimination over small fields run on
-byte-packed rows (``_packed``).
+characteristic.  Products, elimination and, from order _HESS_MIN_N up, the
+Hessenberg reduction run on byte-packed rows over small fields
+(``_packed._rref``, ``_matmul`` and ``_hessenberg``).
 """
 
 from __future__ import annotations
@@ -342,10 +343,16 @@ def _hessenberg(m: Matrix, transform=False):
     For each column j, the first row at or below j + 1 with a nonzero entry
     in column j is swapped into row j + 1 (and the same columns swapped),
     then each lower row i loses u times row j + 1 while column j + 1 gains
-    u times column i.  P collects the row operations.
+    u times column i.  P collects the row operations.  Over small fields
+    ``_packed._hessenberg`` does the same updates on byte rows; this loop is
+    for the other fields, small orders and the tests' reference.
     """
     f = m.field
     n = m.nrows
+    packed = _packed._hessenberg(f, n, m.entries, transform)
+    if packed is not None:
+        h, p = packed
+        return h, Matrix._raw(f, n, n, p) if transform else None
     add, sub, mul, inv = f.add, f.sub, f.mul, f.inv
     h = [list(m.entries[i * n:(i + 1) * n]) for i in range(n)]
     p = [[int(i == j) for j in range(n)] for i in range(n)] if transform else None
@@ -388,15 +395,22 @@ def poly_eval(f: Poly, m: Matrix) -> Matrix:
         raise NotSquareError("polynomial evaluation needs a square matrix")
     if f.field != m.field:
         raise FieldMismatchError(f"{f.field} vs {m.field}")
-    n = m.nrows
+    field, n = m.field, m.nrows
     if f.is_zero:
-        return Matrix.zero(m.field, n, n)
+        return Matrix.zero(field, n, n)
+    # the coefficients are valid encodings, so constants go straight onto
+    # the diagonal
+    add = field.add
     cs = f.coeffs
-    acc = Matrix.scalar(m.field, n, cs[-1])
+    ent = [0] * (n * n)
+    ent[::n + 1] = [cs[-1]] * n
+    acc = Matrix._raw(field, n, n, ent)
     for c in reversed(cs[:-1]):
         acc = acc * m
         if c:
-            acc = acc + Matrix.scalar(m.field, n, c)
+            ent = list(acc.entries)
+            ent[::n + 1] = [add(v, c) for v in ent[::n + 1]]
+            acc = Matrix._raw(field, n, n, ent)
     return acc
 
 

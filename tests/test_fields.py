@@ -173,6 +173,16 @@ def test_encoding_roundtrip(q):
         assert f.from_coeffs(cs) == a
 
 
+@pytest.mark.parametrize("bad", [True, False, -1, 9])
+def test_coefficient_vectors_reject_non_encodings(bad):
+    # booleans are ints to isinstance, but not element or coefficient encodings
+    f = get_field(9)
+    with pytest.raises(ValueError):
+        f.coeffs(bad)
+    with pytest.raises(ValueError):
+        f.from_coeffs([bad, 0])
+
+
 def test_from_int_embeds_prime_subfield():
     f = FiniteField(3, 2)
     assert f.from_int(5) == 2

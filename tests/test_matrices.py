@@ -352,17 +352,51 @@ def test_charpoly_matches_berkowitz(m):
 
 
 
+def list_hessenberg(m, transform):
+    with mock.patch.object(_packed, "_hessenberg", lambda *args: None):
+        return _hessenberg(m, transform)
+
+
 @settings(max_examples=100, deadline=None)
 @given(charpoly_matrices())
 def test_hessenberg_form_is_similar(m):
-    # the shared reduction of charpoly and the intertwiner solver
-    h, p = _hessenberg(m, transform=True)
+    # the shared reduction of charpoly and the intertwiner solver; with the
+    # size gate at 0 every byte field takes the packed path
+    with mock.patch.object(_packed, "_HESS_MIN_N", 0):
+        h, p = _hessenberg(m, transform=True)
+        assert _hessenberg(m, transform=False) == list_hessenberg(m, False) == (h, None)
+    assert (h, p) == list_hessenberg(m, True)
     n = m.nrows
     assert all(not h[i][j] for i in range(n) for j in range(i - 1))
     big_h = Matrix(m.field, n, n, [v for row in h for v in row])
     assert p.rank() == n
     assert p * m == big_h * p
-    assert _hessenberg(m)[0] == h
+
+
+@pytest.mark.parametrize("q, n", [(127, 40), (3, 40), (3, 130)])
+def test_packed_hessenberg_reduces_long_dense_sums(q, n):
+    # Row 0 is all ones and, after row 1 = (1, 0, ..., 0) is the pivot of
+    # column 0, every multiplier is p - 1, so byte 0 of the new column 1 sums
+    # 1 + (n - 2)(p - 1), past 255 when n - 2 > 255 // (p - 1).
+    f = get_field(q)
+    rng = random.Random(q * n)
+    ent = [1] * n + [1] + [0] * (n - 1)
+    for _ in range(n - 2):
+        ent += [q - 1] + [rng.randrange(q) for _ in range(n - 1)]
+    m = Matrix(f, n, n, ent)
+    assert n >= _packed._HESS_MIN_N
+    for transform in (False, True):
+        assert _hessenberg(m, transform) == list_hessenberg(m, transform)
+    dense = rand_matrix(rng, f, n, n)
+    assert _hessenberg(dense, True) == list_hessenberg(dense, True)
+
+
+@pytest.mark.parametrize("q", [2, 7, 16])
+def test_charpoly_on_the_packed_hessenberg(q):
+    f = get_field(q)
+    m = rand_matrix(random.Random(q), f, 24, 24)
+    assert m.nrows >= _packed._HESS_MIN_N
+    assert m.charpoly() == reference_charpoly(m)
 
 def test_charpoly_of_permuted_block_matrices():
     # zero columns below the subdiagonal at every stage, and pivots away from
