@@ -28,7 +28,7 @@ Algebra, sections 2.3 and 2.4).
 ``_hessenberg`` reduces a square matrix to upper Hessenberg form by
 similarity on one flat byte string: a column's row updates are one sum over
 all the rows below the pivot, and its column updates sum the column slices
-``flat[i::n]``.  It takes orders n >= _HESS_MIN_N only.
+``flat[i::n]``.
 
 ``_axpy_ops`` gives the row updates x + c*y of the intertwiner solver in
 ``codes`` on the same rows, and plain lists for fields that do not qualify.
@@ -67,8 +67,6 @@ _SCALES = {}
 # product or division costs about as much as 32 field calls.  Keeping tiny
 # operands there keeps the default-modulus search of ``fields`` as fast.
 _POLY_MIN_PAIRS = 32
-# Below this order the list loop of ``matrices._hessenberg`` is faster.
-_HESS_MIN_N = 12
 
 
 def _byte_field(field):
@@ -173,8 +171,7 @@ def _matmul(field, n, m, k, a, b):
 def _hessenberg(field, n, entries, transform):
     """(h, p) as ``matrices._hessenberg`` computes them: the rows of H as
     lists, and P's row-major entries when transform is true (else None).
-    Returns None when the field does not qualify (see ``_byte_field``) or n
-    is below _HESS_MIN_N.
+    Returns None when the field does not qualify (see ``_byte_field``).
 
     H and P are flat bytearrays of n * n bytes.  At column j every multiplier
     u_i = h_ij / h_kj (k = j + 1) is read before any update: no column update
@@ -185,7 +182,7 @@ def _hessenberg(field, n, entries, transform):
     as in ``_matmul``.  Left and right updates commute, so H and P equal the
     list loop's entry for entry.
     """
-    if n < _HESS_MIN_N or not _byte_field(field):
+    if not _byte_field(field):
         return None
     scale = _scales(field)
     reduce = None if field.p == 2 else scale[1]

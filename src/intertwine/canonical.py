@@ -10,7 +10,7 @@ conjugate partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalInconsistencyError, NotIrreducibleError, NotSquareError
 from .matrices import Matrix, companion_matrix, direct_sum, poly_eval
@@ -18,13 +18,10 @@ from .partitions import Partition
 from .polys import Poly, factor, is_irreducible
 
 
-@dataclass(frozen=True)
-class PrimaryComponent:
+class PrimaryComponent(namedtuple("PrimaryComponent", "irr mult partition")):
     """One irreducible factor with its multiplicity and block partition."""
 
-    irr: Poly
-    mult: int
-    partition: Partition
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -101,14 +98,9 @@ def _component(a: Matrix, irr: Poly, mult: int) -> PrimaryComponent:
 
 
 def nilpotent_matrix(field, lam: Partition) -> Matrix:
-    """Block-diagonal nilpotent matrix with upper-shift blocks of sizes lam."""
-    blocks = []
-    for m in lam.parts:
-        ent = [0] * (m * m)
-        for i in range(m - 1):
-            ent[i * m + i + 1] = 1
-        blocks.append(Matrix(field, m, m, ent))
-    return direct_sum(blocks, field=field)
+    """Block-diagonal nilpotent matrix with upper-shift blocks of sizes lam:
+    the generalized Jordan matrix of the irreducible t."""
+    return generalized_jordan_matrix(Poly.t(field), lam)
 
 
 def generalized_jordan_matrix(p: Poly, lam: Partition) -> Matrix:

@@ -8,7 +8,7 @@ instead of the r*s entries of X, and no Kronecker-product vectorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from ._packed import _axpy_ops, _row_ops
@@ -22,8 +22,8 @@ from .errors import (
     ZeroCodeError,
 )
 from .matrices import Matrix, _hessenberg
-from .partitions import Partition, conjugate_product
-from .polys import Poly, gcd
+from .partitions import conjugate_product
+from .polys import gcd
 
 #: Default ceiling on exhaustively enumerated codewords.
 DEFAULT_BUDGET = 1 << 24
@@ -41,8 +41,9 @@ class IntertwiningCode:
     __slots__ = ("field", "r", "s", "basis")
 
     def __init__(self, field, r, s, basis):
-        if r < 1 or s < 1:
-            raise SizeMismatchError("codes need positive block dimensions")
+        if type(r) is not int or type(s) is not int or r < 1 or s < 1:
+            raise SizeMismatchError(
+                f"codes need positive integer block dimensions, got {r!r} x {s!r}")
         mats = []
         for m in basis:
             if m.field != field:
@@ -215,20 +216,9 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
     return zs * ct
 
 
-@dataclass(frozen=True)
-class FactorTerm:
-    """Contribution of one shared irreducible factor to the dimension."""
-
-    irr: Poly
-    lam: Partition
-    mu: Partition
-    contribution: int
-
-
-@dataclass(frozen=True)
-class DimensionBreakdown:
-    total: int
-    terms: tuple[FactorTerm, ...]
+FactorTerm = namedtuple("FactorTerm", "irr lam mu contribution")
+FactorTerm.__doc__ = "Contribution of one shared irreducible factor to the dimension."
+DimensionBreakdown = namedtuple("DimensionBreakdown", "total terms")
 
 
 def dimension_formula(a: Matrix, b: Matrix) -> DimensionBreakdown:

@@ -12,7 +12,7 @@ certificate from the same inputs is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codes import (
     DEFAULT_BUDGET,
@@ -27,38 +27,22 @@ from .errors import (
     InternalInconsistencyError,
     SingularError,
 )
-from .fields import FiniteField
 from .matrices import Matrix, complete_invertible
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Full witness for a constructed code: the diagonal seed, conjugators,
-    rank-one codewords, and the claimed parameters.
+Certificate = namedtuple(
+    "Certificate",
+    "field r s k A0 B0 zetas alpha beta gamma R S A B X row_blocks claimed_d transposed",
+    defaults=(False,),
+)
+Certificate.__doc__ = """Full witness for a constructed code: the diagonal seed, conjugators,
+rank-one codewords, and the claimed parameters.
 
-    A certificate built by construct_extremal for r > s carries
-    ``transposed=True``: its row_blocks then partition the columns and the
-    roles of the indicator and full-support vectors swap between R and S.
-    """
-
-    field: FiniteField
-    r: int
-    s: int
-    k: int
-    A0: Matrix
-    B0: Matrix
-    zetas: tuple[int, ...]
-    alpha: int | None
-    beta: int | None
-    gamma: int
-    R: Matrix
-    S: Matrix
-    A: Matrix
-    B: Matrix
-    X: tuple[Matrix, ...]
-    row_blocks: tuple[tuple[int, ...], ...]  # 1-based indices
-    claimed_d: int
-    transposed: bool = False
+zetas, X and row_blocks are tuples, row_blocks of 1-based indices; alpha and
+beta may be None.  A certificate built by construct_extremal for r > s
+carries ``transposed=True``: its row_blocks then partition the columns and
+the roles of the indicator and full-support vectors swap between R and S.
+"""
 
 
 def _seed(r, s, k, field, need):
@@ -204,17 +188,12 @@ def _transpose_certificate(c: Certificate) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+CertificateCheck = namedtuple("CertificateCheck", "name passed detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CertificateCheck, ...]
-    distance_skipped: bool = False
+class VerificationReport(namedtuple("VerificationReport", "checks distance_skipped",
+                                    defaults=(False,))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -5,9 +5,9 @@ vectorization convention used throughout the library.  The characteristic
 polynomial comes from a similarity reduction to upper Hessenberg form
 (``_hessenberg``, which also serves the intertwiner solver of ``codes``) and
 the Hessenberg determinant recurrence, O(n^3) field operations in every
-characteristic.  Products, elimination and, from order _HESS_MIN_N up, the
-Hessenberg reduction run on byte-packed rows over small fields
-(``_packed._rref``, ``_matmul`` and ``_hessenberg``).
+characteristic.  Products, elimination and the Hessenberg reduction run on
+byte-packed rows over small fields (``_packed._rref``, ``_matmul`` and
+``_hessenberg``).
 """
 
 from __future__ import annotations
@@ -68,18 +68,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        ent = [0] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = 1
-        return cls(field, n, n, ent)
+        return cls.diagonal(field, [1] * n)
 
     @classmethod
     def scalar(cls, field, n, c):
         """c times the identity."""
-        ent = [0] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = c
-        return cls(field, n, n, ent)
+        return cls.diagonal(field, [c] * n)
 
     @classmethod
     def diagonal(cls, field, values):
@@ -345,7 +339,7 @@ def _hessenberg(m: Matrix, transform=False):
     then each lower row i loses u times row j + 1 while column j + 1 gains
     u times column i.  P collects the row operations.  Over small fields
     ``_packed._hessenberg`` does the same updates on byte rows; this loop is
-    for the other fields, small orders and the tests' reference.
+    for the other fields and the tests' reference.
     """
     f = m.field
     n = m.nrows

@@ -12,8 +12,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        ps = tuple(int(x) for x in parts)
+        ps = tuple(parts)
         for i, x in enumerate(ps):
+            if type(x) is not int:
+                raise ValueError(f"parts must be integers, got {x!r}")
             if x < 1:
                 raise ValueError(f"parts must be positive, got {x}")
             if i and ps[i - 1] < x:

@@ -10,7 +10,7 @@ a fresh fixed-seed stream, and the monic factors are returned sorted by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._packed import _poly
 from .errors import (
@@ -382,14 +382,11 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "field unit factors")):
     """unit * product of factor**multiplicity, factors monic irreducible and
     sorted by (degree, canonical coefficient encoding)."""
 
-    field: FiniteField
-    unit: int
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ()
 
     def expand(self) -> Poly:
         out = Poly.constant(self.field, self.unit)

@@ -17,6 +17,7 @@ from intertwine import (
     Partition,
     Poly,
     SingularError,
+    SizeMismatchError,
     ZeroCodeError,
     complete_invertible,
     conjugate_code,
@@ -90,6 +91,18 @@ def test_intertwiner_basis_is_canonical():
     assert IntertwiningCode(F3, 3, 3, mats) == code
     for x in code.basis:
         assert (a * x - x * b).is_zero
+
+
+def test_code_shapes_must_be_integers():
+    # a bool or float shape would serialize as a code that the parser rejects
+    one = Matrix.unit(F5, 1, 1, 0, 0)
+    with pytest.raises(SizeMismatchError):
+        IntertwiningCode(F5, True, True, [one])
+    with pytest.raises(SizeMismatchError):
+        IntertwiningCode(F5, 2.0, 2, [])
+    with pytest.raises(SizeMismatchError):
+        IntertwiningCode(F5, 2, 0, [])
+    assert IntertwiningCode(F5, 1, 1, [one]).k == 1
 
 
 def test_multi_pair_intersection():

@@ -1,7 +1,6 @@
 """Seeded diagonal pairs, the distance construction, and certificate checks."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -186,7 +185,7 @@ def test_verify_passes_on_fresh_certificates():
 
 def test_verify_flags_zeroed_codeword():
     cert = construct_code(3, 2, 2, F5)
-    bad = replace(cert, X=(Matrix.zero(F5, 3, 2),) + cert.X[1:])
+    bad = cert._replace(X=(Matrix.zero(F5, 3, 2),) + cert.X[1:])
     report = verify_certificate(bad)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
@@ -195,7 +194,7 @@ def test_verify_flags_zeroed_codeword():
 
 def test_verify_flags_inflated_distance():
     cert = construct_code(3, 2, 2, F5)
-    bad = replace(cert, claimed_d=cert.claimed_d + 1)
+    bad = cert._replace(claimed_d=cert.claimed_d + 1)
     report = verify_certificate(bad)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
@@ -204,7 +203,7 @@ def test_verify_flags_inflated_distance():
 
 def test_verify_flags_singular_conjugator():
     cert = construct_code(2, 2, 1, F5)
-    bad = replace(cert, R=Matrix.zero(F5, 2, 2))
+    bad = cert._replace(R=Matrix.zero(F5, 2, 2))
     report = verify_certificate(bad)
     assert not report.passed
     assert any(c.name == "R invertible" and not c.passed for c in report.checks)
@@ -231,7 +230,7 @@ def test_verify_confirms_distance_from_supports_beyond_budget():
 def test_verify_flags_overlapping_supports():
     cert = construct_code(3, 2, 2, F5)
     # X1 + X2 still lies in the code and keeps the X independent
-    bad = replace(cert, X=(cert.X[0], cert.X[0] + cert.X[1]))
+    bad = cert._replace(X=(cert.X[0], cert.X[0] + cert.X[1]))
     report = verify_certificate(bad)
     [check] = [c for c in report.checks if c.name == "minimum distance from disjoint supports"]
     assert (check.passed, check.detail) == (False, "codeword supports overlap")
@@ -251,7 +250,7 @@ def test_builder_self_check_runs_at_every_size(monkeypatch):
     bent = list(cert.X[0].entries)
     bent[1] = 2
     with pytest.raises(InternalInconsistencyError, match="does not intertwine"):
-        construct._self_check(replace(cert, X=(Matrix(F5, 3, 2, bent), *cert.X[1:])))
+        construct._self_check(cert._replace(X=(Matrix(F5, 3, 2, bent), *cert.X[1:])))
     # alpha = zeta_0 leaves every X_l in the code with the claimed weight, but
     # A0 and B0 then share a second eigenspace and the code grows to dimension r
     seed = construct._seed

@@ -277,13 +277,15 @@ def kernel_results(m):
 
 
 def test_packed_elimination_covers_exactly_the_small_fields():
-    # the packed product qualifies the same fields
+    # the packed product and Hessenberg reduction qualify the same fields
     for q in PACKED_ORDERS:
         assert _packed._rref(get_field(q), 1, 1, (1,)) is not None
         assert _packed._matmul(get_field(q), 1, 1, 1, (1,), (1,)) is not None
+        assert _packed._hessenberg(get_field(q), 1, (1,), True) is not None
     for q in LIST_ORDERS:
         assert _packed._rref(get_field(q), 1, 1, (1,)) is None
         assert _packed._matmul(get_field(q), 1, 1, 1, (1,), (1,)) is None
+        assert _packed._hessenberg(get_field(q), 1, (1,), True) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,11 +362,10 @@ def list_hessenberg(m, transform):
 @settings(max_examples=100, deadline=None)
 @given(charpoly_matrices())
 def test_hessenberg_form_is_similar(m):
-    # the shared reduction of charpoly and the intertwiner solver; with the
-    # size gate at 0 every byte field takes the packed path
-    with mock.patch.object(_packed, "_HESS_MIN_N", 0):
-        h, p = _hessenberg(m, transform=True)
-        assert _hessenberg(m, transform=False) == list_hessenberg(m, False) == (h, None)
+    # the shared reduction of charpoly and the intertwiner solver; every
+    # byte field takes the packed path
+    h, p = _hessenberg(m, transform=True)
+    assert _hessenberg(m, transform=False) == list_hessenberg(m, False) == (h, None)
     assert (h, p) == list_hessenberg(m, True)
     n = m.nrows
     assert all(not h[i][j] for i in range(n) for j in range(i - 1))
@@ -384,7 +385,6 @@ def test_packed_hessenberg_reduces_long_dense_sums(q, n):
     for _ in range(n - 2):
         ent += [q - 1] + [rng.randrange(q) for _ in range(n - 1)]
     m = Matrix(f, n, n, ent)
-    assert n >= _packed._HESS_MIN_N
     for transform in (False, True):
         assert _hessenberg(m, transform) == list_hessenberg(m, transform)
     dense = rand_matrix(rng, f, n, n)
@@ -395,7 +395,6 @@ def test_packed_hessenberg_reduces_long_dense_sums(q, n):
 def test_charpoly_on_the_packed_hessenberg(q):
     f = get_field(q)
     m = rand_matrix(random.Random(q), f, 24, 24)
-    assert m.nrows >= _packed._HESS_MIN_N
     assert m.charpoly() == reference_charpoly(m)
 
 def test_charpoly_of_permuted_block_matrices():

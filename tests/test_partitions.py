@@ -32,6 +32,10 @@ def test_validation():
         Partition([0, 1])
     with pytest.raises(ValueError):
         Partition([1, 2])
+    # parts are never coerced: no float, string or bool counts as an integer
+    for bad in ([2.5], [2.0], ["3"], [True], [2, True]):
+        with pytest.raises(ValueError):
+            Partition(bad)
     assert Partition([]).weight == 0
     assert Partition([3, 1]).weight == 4
 
