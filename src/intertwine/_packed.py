@@ -43,6 +43,7 @@ lists.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import xor
 
 
@@ -61,8 +62,6 @@ class _Scales(dict):
         return table
 
 
-# field -> its _Scales
-_SCALES = {}
 # Below this size the list loops in Poly are faster: setting up a packed
 # product or division costs about as much as 32 field calls.  Keeping tiny
 # operands there keeps the default-modulus search of ``fields`` as fast.
@@ -76,11 +75,9 @@ def _byte_field(field):
     return p == 2 and field.q <= 256 or field.e == 1 and p < 128
 
 
+@cache
 def _scales(field):
-    scale = _SCALES.get(field)
-    if scale is None:
-        scale = _SCALES[field] = _Scales(field)
-    return scale
+    return _Scales(field)
 
 
 def _rref(field, nrows, ncols, entries):

@@ -119,24 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- input helpers -------------------------------------------------------------
 
-def _load_json(path, what):
+def _load(path, what, parse):
+    # Any file that cannot be read, decoded (UTF-8, nesting depth, integer
+    # digits) or parsed is a parse error naming the file.
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read {what} file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
-
-
-def _load(path, what, parse):
-    obj = _load_json(path, what)
-    try:
-        return parse(obj)
     except IntertwineError:
         # a field too large or of a bad degree is a precondition, as with --q
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{what} file {path!r}: {exc}") from exc
 
 

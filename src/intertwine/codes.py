@@ -70,14 +70,10 @@ class IntertwiningCode:
         coefficients = [f._element(c) for c in coefficients]
         if len(coefficients) != self.k:
             raise SizeMismatchError(f"expected {self.k} coefficients, got {len(coefficients)}")
-        add, mul = f.add, f.mul
-        acc = [0] * self.n
-        for c, mat in zip(coefficients, self.basis):
-            if c:
-                for i, v in enumerate(mat.entries):
-                    if v:
-                        acc[i] = add(acc[i], mul(c, v))
-        return Matrix(f, self.r, self.s, acc)
+        # the coefficient row times the basis stacked one matrix per row
+        stack = Matrix._raw(f, self.k, self.n, [v for m in self.basis for v in m.entries])
+        row = Matrix._raw(f, 1, self.k, coefficients) * stack
+        return Matrix._raw(f, self.r, self.s, row.entries)
 
     def __eq__(self, other):
         if not isinstance(other, IntertwiningCode):

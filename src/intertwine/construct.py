@@ -101,10 +101,10 @@ def construct_code(r, s, k, field) -> Certificate:
 
     gamma = _choose_gamma(field, s, k)
     u_rows = [tuple(gamma if j == ell else 1 for j in range(s)) for ell in range(k)]
-    s_mat = complete_invertible(field, u_rows, s, mode="rows")
+    s_mat = complete_invertible(field, u_rows, s)
 
     v_cols = [tuple(int(i in block) for i in range(1, r + 1)) for block in blocks]
-    t_mat = complete_invertible(field, v_cols, r, mode="columns")
+    t_mat = complete_invertible(field, v_cols, r).transpose()
     r_mat = t_mat.inverse()
 
     a = t_mat * a0 * r_mat
@@ -136,7 +136,7 @@ def _self_check(cert):
     # supports are pairwise disjoint and, as the claimed distance is
     # positive, nonempty, so the X_l are independent; with the code's
     # closed-form dimension at k they span it.
-    if not all((cert.A * x - x * cert.B).is_zero for x in cert.X):
+    if not all(cert.A * x == x * cert.B for x in cert.X):
         raise InternalInconsistencyError("a constructed codeword does not intertwine (A, B)")
     k = dimension_formula(cert.A, cert.B).total
     if k != cert.k:
@@ -265,7 +265,7 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
                 break
     checks.append(CertificateCheck("rank-one codeword identities", rank_one_ok, detail))
 
-    intertwines = all((cert.A * x - x * cert.B).is_zero for x in cert.X)
+    intertwines = all(cert.A * x == x * cert.B for x in cert.X)
     checks.append(CertificateCheck(
         "codewords intertwine (A, B)", intertwines,
         "" if intertwines else "some A X - X B is nonzero"))

@@ -43,6 +43,18 @@ def is_prime(n: int) -> bool:
     return prime_divisors(n) == [n]
 
 
+def _power(x, n, mul, one):
+    """x**n for n >= 0 under mul by square-and-multiply, skipping the last square."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
+
+
 def _modulus(p, e, modulus):
     """The supplied modulus, validated, or by default the least monic
     irreducible of degree e, ordered by the encoding of its non-leading
@@ -61,7 +73,7 @@ def _modulus(p, e, modulus):
         raise BadModulusError(
             f"modulus must have degree {e}: expected {e + 1} coefficients, got {len(mod)}"
         )
-    if any(not isinstance(c, int) or not 0 <= c < p for c in mod):
+    if any(type(c) is not int or not 0 <= c < p for c in mod):
         raise BadModulusError(f"modulus coefficients must be integers in [0, {p})")
     if mod[-1] != 1:
         raise BadModulusError("modulus must be monic")
@@ -317,14 +329,7 @@ class FiniteField:
         if n < 0:
             a = self.inv(a)
             n = -n
-        result = 1
-        mul = self.mul
-        while n:
-            if n & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            n >>= 1
-        return result
+        return _power(a, n, self.mul, 1)
 
     # -- encoding ---------------------------------------------------------
 

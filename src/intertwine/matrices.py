@@ -96,6 +96,8 @@ class Matrix:
     @classmethod
     def unit(cls, field, nrows, ncols, i, j):
         """The matrix with a single 1 in position (i, j)."""
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise IndexError(f"index ({i}, {j}) is outside a {nrows}x{ncols} matrix")
         ent = [0] * (nrows * ncols)
         ent[i * ncols + j] = 1
         return cls(field, nrows, ncols, ent)
@@ -104,6 +106,8 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"index ({i}, {j}) is outside a {self.nrows}x{self.ncols} matrix")
         return self.entries[i * self.ncols + j]
 
     def row(self, i):
@@ -432,24 +436,19 @@ def direct_sum(blocks, field=None) -> Matrix:
     return Matrix._raw(field, nrows, ncols, ent)
 
 
-def complete_invertible(field, vectors, n, mode="rows") -> Matrix:
+def complete_invertible(field, vectors, n) -> Matrix:
     """Extend independent length-n vectors to an invertible n x n matrix.
 
-    In "rows" mode the vectors become the first rows and the completion
-    appends standard basis vectors at the non-pivot columns of the prefix's
-    reduced echelon form, in ascending order; "columns" mode is the transpose
-    of the same construction.
+    The vectors become the first rows and the completion appends standard
+    basis vectors at the non-pivot columns of the prefix's reduced echelon
+    form, in ascending order.  The transpose completes columns instead.
     """
-    if mode not in ("rows", "columns"):
-        raise ValueError(f"mode must be 'rows' or 'columns', got {mode!r}")
     vecs = [tuple(v) for v in vectors]
     k = len(vecs)
     if k > n:
         raise DependentPrefixError(f"{k} vectors cannot be independent in dimension {n}")
     if any(len(v) != n for v in vecs):
         raise SizeMismatchError(f"prefix vectors must have length {n}")
-    if mode == "columns":
-        return complete_invertible(field, vecs, n, "rows").transpose()
     prefix = Matrix(field, k, n, [x for v in vecs for x in v])
     _, rank, pivots = prefix.rref()
     if rank < k:

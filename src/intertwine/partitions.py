@@ -6,12 +6,12 @@ from __future__ import annotations
 from .errors import EmptyListError
 
 
-class Partition:
-    """Weakly decreasing positive parts; the empty partition has weight 0."""
+class Partition(tuple):
+    """Weakly decreasing positive parts as a tuple; the empty partition has weight 0."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         ps = tuple(parts)
         for i, x in enumerate(ps):
             if type(x) is not int:
@@ -20,45 +20,25 @@ class Partition:
                 raise ValueError(f"parts must be positive, got {x}")
             if i and ps[i - 1] < x:
                 raise ValueError(f"parts must be weakly decreasing, got {list(ps)}")
-        self.parts = ps
+        return super().__new__(cls, ps)
+
+    parts = property(tuple)
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def first(self) -> int:
         """Largest part, 0 for the empty partition."""
-        return self.parts[0] if self.parts else 0
+        return self[0] if self else 0
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: part i counts original parts >= i."""
-        return Partition(
-            sum(1 for x in self.parts if x > i) for i in range(self.first)
-        )
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return Partition(sum(1 for x in self if x > i) for i in range(self.first))
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
 
 def conjugate_product(partitions) -> int:
@@ -70,7 +50,7 @@ def conjugate_product(partitions) -> int:
     m = min(p.first for p in ps)
     if m == 0:
         return 0
-    conjs = [p.conjugate().parts for p in ps]
+    conjs = [p.conjugate() for p in ps]
     total = 0
     for i in range(m):
         term = 1

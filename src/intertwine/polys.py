@@ -20,7 +20,7 @@ from .errors import (
     NotMonicError,
     ZeroPolynomialError,
 )
-from .fields import FiniteField
+from .fields import FiniteField, _power
 
 
 class Poly:
@@ -141,15 +141,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, Poly.__mul__, Poly.one(self.field))
 
     def scale(self, c: int):
         """Multiply every coefficient by the field element c."""
@@ -260,15 +252,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 
 def _powmod(base: Poly, n: int, mod: Poly) -> Poly:
-    result = Poly.one(base.field)
-    base = base % mod
-    while n:
-        if n & 1:
-            result = (result * base) % mod
-        n >>= 1
-        if n:
-            base = (base * base) % mod
-    return result
+    return _power(base % mod, n, lambda x, y: x * y % mod, Poly.one(base.field))
 
 
 def _pth_root_poly(f: Poly) -> Poly:

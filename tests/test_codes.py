@@ -516,8 +516,8 @@ def test_conjugation_can_spread_distance_to_rs():
     r, s = 3, 2
     seed = IntertwiningCode(F5, r, s, [Matrix.unit(F5, r, s, 0, 0)])
     assert min_distance(seed) == 1
-    t = complete_invertible(F5, [(1,) * r], r, mode="columns")
-    smat = complete_invertible(F5, [(1,) * s], s, mode="rows")
+    t = complete_invertible(F5, [(1,) * r], r).transpose()
+    smat = complete_invertible(F5, [(1,) * s], s)
     image = conjugate_code(seed, t.inverse(), smat)
     assert image.k == 1
     assert min_distance(image) == r * s
@@ -618,6 +618,26 @@ def test_codeword_materializes_combinations():
     w = code.codeword([1, 2, 0, 1])
     expected = code.basis[0] + code.basis[1].scale(2) + code.basis[3]
     assert w == expected
+
+
+@pytest.mark.parametrize("q", [9, 1024, 16])
+def test_codeword_matches_the_explicit_sum(q):
+    # GF(9) and GF(1024) take the list product, GF(16) the packed one
+    field = get_field(q)
+    rng = random.Random(q)
+    code = IntertwiningCode(field, 2, 3, [rand_matrix(rng, field, 2, 3) for _ in range(4)])
+    assert code.k == 4
+    for _ in range(5):
+        coeffs = [rng.randrange(q) for _ in range(code.k)]
+        expected = Matrix.zero(field, 2, 3)
+        for c, x in zip(coeffs, code.basis):
+            expected = expected + x.scale(c)
+        assert code.codeword(coeffs) == expected
+    assert code.codeword([0] * code.k) == Matrix.zero(field, 2, 3)
+    zero = IntertwiningCode(field, 2, 3, [])
+    assert zero.codeword([]) == Matrix.zero(field, 2, 3)
+    with pytest.raises(SizeMismatchError):
+        code.codeword([1] * (code.k + 1))
 
 
 @pytest.mark.parametrize("q", [4, 5])

@@ -93,6 +93,25 @@ def test_bad_modulus_rejected():
         FiniteField(2, 2, [0, 0, 1])  # t^2 is reducible
     with pytest.raises(BadModulusError):
         FiniteField(3, 2, [3, 0, 1])  # coefficient out of range
+    # True == 1, but a bool is no coefficient, as anywhere else
+    for modulus in ((1, 1, True), (True, 1, 1), (1, False, 1)):
+        with pytest.raises(BadModulusError, match="must be integers"):
+            FiniteField(2, 2, modulus)
+
+
+def test_pow_examples_and_negative_exponents():
+    # a prime field, Zech and XOR tables, and vector arithmetic past them
+    for q in (5, 9, 16, 1 << 17):
+        f = get_field(q)
+        for a in (1, 2, f.q - 1):
+            assert f.pow(a, 0) == 1
+            assert f.pow(a, 1) == a
+            assert f.pow(a, 3) == f.mul(a, f.mul(a, a))
+            assert f.pow(a, -1) == f.inv(a)
+            assert f.mul(f.pow(a, -3), f.pow(a, 3)) == 1
+        assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+    with pytest.raises(DivisionByZeroError):
+        FiniteField(5).pow(0, -1)
 
 
 def test_bad_extension_degree_rejected():

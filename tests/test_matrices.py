@@ -174,17 +174,17 @@ def test_direct_sum_charpoly_multiplies():
 
 
 def test_complete_invertible():
-    m = complete_invertible(F2, [(1, 0)], 2, mode="columns")
+    m = complete_invertible(F2, [(1, 0)], 2).transpose()
     assert m.col(0) == (1, 0)
     assert m.rank() == 2
 
     basis = [(1, 0), (0, 1)]
-    assert complete_invertible(F2, basis, 2, mode="rows") == Matrix.identity(F2, 2)
+    assert complete_invertible(F2, basis, 2) == Matrix.identity(F2, 2)
 
     with pytest.raises(DependentPrefixError):
-        complete_invertible(F2, [(1, 1), (1, 1)], 2, mode="columns")
+        complete_invertible(F2, [(1, 1), (1, 1)], 2)
     with pytest.raises(DependentPrefixError):
-        complete_invertible(F2, [(1, 0), (0, 1), (1, 1)], 2, mode="rows")
+        complete_invertible(F2, [(1, 0), (0, 1), (1, 1)], 2)
 
 
 def test_complete_invertible_preserves_prefix_on_random_input():
@@ -200,11 +200,10 @@ def test_complete_invertible_preserves_prefix_on_random_input():
                 probe = vecs + [v]
                 if Matrix(f, len(probe), n, [x for w in probe for x in w]).rank() == len(probe):
                     vecs.append(v)
-            for mode in ("rows", "columns"):
-                m = complete_invertible(f, vecs, n, mode=mode)
-                assert m.rank() == n
-                for i, v in enumerate(vecs):
-                    assert (m.row(i) if mode == "rows" else m.col(i)) == v
+            m = complete_invertible(f, vecs, n)
+            assert m.rank() == n
+            for i, v in enumerate(vecs):
+                assert m.row(i) == v
 
 
 def test_companion_matrix_shape():
@@ -229,6 +228,20 @@ def test_matrix_shape_validation():
     for nrows, ncols, entries in ((True, True, [0]), (1, True, [0]), (2.0, 1, [0, 0])):
         with pytest.raises(SizeMismatchError):
             Matrix(F2, nrows, ncols, entries)
+
+
+def test_indices_stay_inside_the_matrix():
+    m = Matrix.from_rows(F5, [[1, 2], [3, 4]])
+    assert [m[i, j] for i in range(2) for j in range(2)] == [1, 2, 3, 4]
+    assert Matrix.unit(F5, 2, 3, 1, 2).entries == (0, 0, 0, 0, 0, 1)
+    # no negative index wraps, no column index spills into the next row
+    for i, j in ((0, 2), (0, -1), (-1, 0), (2, 0), (5, 5)):
+        with pytest.raises(IndexError):
+            m[i, j]
+        with pytest.raises(IndexError):
+            Matrix.unit(F5, 2, 2, i, j)
+    with pytest.raises(IndexError):
+        Matrix.unit(F5, 0, 0, 0, 0)
 
 
 def test_transpose_and_weight():

@@ -47,6 +47,19 @@ def test_coefficients_must_be_element_encodings():
             Poly(F5, coeffs)
 
 
+def test_powers():
+    f = P(F5, 2, 1)
+    assert f**0 == Poly.one(F5) and P(F5)**0 == Poly.one(F5)
+    assert f**1 == f
+    assert f**5 == f * f * f * f * f
+    assert P(F5)**3 == P(F5)
+    with pytest.raises(ValueError):
+        f**-1
+    # squares of a long factor take the packed product
+    g = P(get_field(16), *range(1, 16))
+    assert g**3 == g * g * g
+
+
 def test_gcd_examples():
     assert gcd(P(F5, 4, 0, 1), P(F5, 4, 1)) == P(F5, 4, 1)  # t^2-1 and t-1
     assert gcd(P(F3, 1, 0, 1), P(F3, 0, 1)) == Poly.one(F3)

@@ -1,6 +1,7 @@
 """The result types are named tuples: attribute access, keyword
 construction, defaults, ``_replace``, repr text, immutability, and equality
-and hashing within a type; and no command imports ``dataclasses``."""
+and hashing within a type; a partition is the tuple of its parts; and no
+command imports ``dataclasses``."""
 
 import os
 import subprocess
@@ -98,6 +99,24 @@ def test_fields_defaults_and_methods():
     assert Certificate(*cert[:-1], True).transposed is True
     zero = cert._replace(R=Matrix.zero(F5, 3, 3))
     assert zero.R.is_zero and zero.A == cert.A and zero != cert
+
+
+def test_partition_is_the_tuple_of_its_parts():
+    lam = Partition([3, 1, 1])
+    assert lam == (3, 1, 1) and (3, 1, 1) == lam
+    assert hash(lam) == hash((3, 1, 1))
+    assert {lam: 1}[(3, 1, 1)] == 1
+    assert lam != (3, 1) and lam != [3, 1, 1]
+    assert Partition() == () and not Partition()
+    assert type(lam.parts) is tuple and lam.parts == (3, 1, 1)
+    assert (len(lam), lam[0], list(lam)) == (3, 3, [3, 1, 1])
+    assert repr(lam) == "Partition([3, 1, 1])" and repr(Partition()) == "Partition([])"
+    assert type(lam.conjugate()) is Partition and lam.conjugate() == (3, 1, 1)
+    assert (lam.weight, lam.first, Partition().first) == (5, 3, 0)
+    with pytest.raises(AttributeError):
+        lam.extra = 1
+    with pytest.raises(ValueError):
+        Partition((1, 3))
 
 
 def test_cli_import_loads_no_dataclasses():
