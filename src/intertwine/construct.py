@@ -46,7 +46,9 @@ the roles of the indicator and full-support vectors swap between R and S.
 
 
 def _seed(r, s, k, field, need):
-    # (A0, B0, zetas, alpha, beta) after checking k and that q >= need
+    # (A0, B0, zetas, alpha, beta) after checking r, s, k and that q >= need
+    if any(not isinstance(n, int) or isinstance(n, bool) for n in (r, s, k)):
+        raise BadKError(f"r, s and k must be integers, got {r!r}, {s!r}, {k!r}")
     if not 1 <= k <= min(r, s):
         raise BadKError(f"k must satisfy 1 <= k <= min({r}, {s}), got {k}")
     if field.q < need:
@@ -100,10 +102,10 @@ def construct_code(r, s, k, field) -> Certificate:
     blocks = _row_blocks(r, k)
 
     gamma = _choose_gamma(field, s, k)
-    u_rows = [tuple(gamma if j == ell else 1 for j in range(s)) for ell in range(k)]
+    u_rows = [_full_support(gamma, ell, s) for ell in range(k)]
     s_mat = complete_invertible(field, u_rows, s)
 
-    v_cols = [tuple(int(i in block) for i in range(1, r + 1)) for block in blocks]
+    v_cols = [_indicator(block, r) for block in blocks]
     t_mat = complete_invertible(field, v_cols, r).transpose()
     r_mat = t_mat.inverse()
 
@@ -121,6 +123,16 @@ def construct_code(r, s, k, field) -> Certificate:
     )
     _self_check(cert)
     return cert
+
+
+def _indicator(block, n):
+    # the 0/1 indicator in GF(q)^n of a block of 1-based indices
+    return tuple(int(i in block) for i in range(1, n + 1))
+
+
+def _full_support(gamma, ell, n):
+    # the vector of n ones but gamma at 0-based position ell
+    return tuple(gamma if j == ell else 1 for j in range(n))
 
 
 def _row_blocks(total, k):
@@ -221,89 +233,76 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
     checks = []
     field, r, s, k = cert.field, cert.r, cert.s, cert.k
 
-    t_inv = None
-    try:
-        t_inv = cert.R.inverse()
-        checks.append(CertificateCheck("R invertible", True))
-    except SingularError:
-        checks.append(CertificateCheck("R invertible", False, "R is singular"))
-    s_inv = None
-    try:
-        s_inv = cert.S.inverse()
-        checks.append(CertificateCheck("S invertible", True))
-    except SingularError:
-        checks.append(CertificateCheck("S invertible", False, "S is singular"))
+    def check(name, detail):
+        checks.append(CertificateCheck(name, not detail, detail))
 
-    distinct = len({*cert.zetas,
-                    *([] if cert.alpha is None else [cert.alpha]),
-                    *([] if cert.beta is None else [cert.beta])})
-    expected = k + (cert.alpha is not None) + (cert.beta is not None)
-    checks.append(CertificateCheck(
-        "seed scalars distinct", distinct == expected,
-        "" if distinct == expected else f"{distinct} distinct of {expected}"))
+    t_inv, s_inv = _inverse(cert.R), _inverse(cert.S)
+    check("R invertible", "R is singular" if t_inv is None else "")
+    check("S invertible", "S is singular" if s_inv is None else "")
+
+    extras = [x for x in (cert.alpha, cert.beta) if x is not None]
+    distinct = len({*cert.zetas, *extras})
+    expected = k + len(extras)
+    check("seed scalars distinct",
+          "" if distinct == expected else f"{distinct} distinct of {expected}")
 
     blocks_ok = tuple(cert.row_blocks) == _row_blocks(s if cert.transposed else r, k)
-    checks.append(CertificateCheck(
-        "row blocks partition the index set", blocks_ok,
-        "" if blocks_ok else f"blocks {cert.row_blocks} do not partition"))
+    check("row blocks partition the index set",
+          "" if blocks_ok else f"blocks {cert.row_blocks} do not partition")
 
-    structure_ok = _structure_ok(cert, t_inv)
-    checks.append(CertificateCheck(
-        "indicator / full-support structure", structure_ok,
-        "" if structure_ok else "distinguished rows or columns have the wrong shape"))
+    check("indicator / full-support structure",
+          "" if _structure_ok(cert, t_inv)
+          else "distinguished rows or columns have the wrong shape")
 
-    rank_one_ok = True
     detail = ""
     if t_inv is None:
-        rank_one_ok = False
         detail = "R is singular"
     else:
         for ell in range(k):
             if t_inv * Matrix.unit(field, r, s, ell, ell) * cert.S != cert.X[ell]:
-                rank_one_ok = False
                 detail = f"codeword {ell + 1} is not R^-1 E S"
                 break
-    checks.append(CertificateCheck("rank-one codeword identities", rank_one_ok, detail))
+    check("rank-one codeword identities", detail)
 
     intertwines = all(cert.A * x == x * cert.B for x in cert.X)
-    checks.append(CertificateCheck(
-        "codewords intertwine (A, B)", intertwines,
-        "" if intertwines else "some A X - X B is nonzero"))
+    check("codewords intertwine (A, B)", "" if intertwines else "some A X - X B is nonzero")
 
     seed_ok = (t_inv is not None and s_inv is not None and _seed_diagonals_ok(cert)
                and cert.A == t_inv * cert.A0 * cert.R
                and cert.B == s_inv * cert.B0 * cert.S)
-    checks.append(CertificateCheck(
-        "pair is the conjugated seed", seed_ok,
-        "" if seed_ok else "A0, B0 are not the stated diagonals or A, B not their conjugates"))
+    check("pair is the conjugated seed",
+          "" if seed_ok else "A0, B0 are not the stated diagonals or A, B not their conjugates")
 
     span_k = IntertwiningCode(field, r, s, cert.X).k
-    checks.append(CertificateCheck(
-        "codewords independent", span_k == k,
-        "" if span_k == k else f"span has dimension {span_k}"))
+    check("codewords independent", "" if span_k == k else f"span has dimension {span_k}")
 
     code = intertwiner_basis([cert.A], [cert.B])
-    checks.append(CertificateCheck(
-        "oracle dimension equals k", code.k == k,
-        "" if code.k == k else f"oracle dimension {code.k}"))
+    check("oracle dimension equals k", "" if code.k == k else f"oracle dimension {code.k}")
 
     if intertwines and span_k == k == code.k:
         detail = _distance_problem(cert.X, cert.claimed_d)
     else:
         detail = "codewords do not span the oracle code"
-    checks.append(CertificateCheck("minimum distance from disjoint supports", not detail, detail))
+    check("minimum distance from disjoint supports", detail)
 
     skipped = False
     if code.k == 0:
-        checks.append(CertificateCheck("minimum distance equals claim", False, "code is zero"))
+        check("minimum distance equals claim", "code is zero")
     elif field.q**code.k - 1 > budget:
         skipped = True
     else:
         d = min_distance(code, budget)
-        checks.append(CertificateCheck(
-            "minimum distance equals claim", d == cert.claimed_d,
-            "" if d == cert.claimed_d else f"distance {d}, claimed {cert.claimed_d}"))
+        check("minimum distance equals claim",
+              "" if d == cert.claimed_d else f"distance {d}, claimed {cert.claimed_d}")
     return VerificationReport(tuple(checks), skipped)
+
+
+def _inverse(m):
+    # m^-1, or None for a singular m
+    try:
+        return m.inverse()
+    except SingularError:
+        return None
 
 
 def _shape_problem(cert):
@@ -340,27 +339,12 @@ def _seed_diagonals_ok(cert):
 def _structure_ok(cert, t_inv):
     # Direct orientation: columns of R^{-1} are block indicators and rows of
     # S are all ones but gamma at position l.  Transposed ones swap roles.
-    if t_inv is None:
+    if t_inv is None or cert.gamma == 0:
         return False
-    k = cert.k
-    if not cert.transposed:
-        indicator_vecs = [t_inv.col(ell) for ell in range(k)]
-        support_vecs = [cert.S.row(ell) for ell in range(k)]
-        block_len = cert.r
-    else:
-        indicator_vecs = [cert.S.row(ell) for ell in range(k)]
-        support_vecs = [t_inv.col(ell) for ell in range(k)]
-        block_len = cert.s
-    for ell in range(k):
-        block = set(cert.row_blocks[ell])
-        vec = indicator_vecs[ell]
-        if len(vec) != block_len:
-            return False
-        for i, v in enumerate(vec, start=1):
-            if v != (1 if i in block else 0):
-                return False
-        expected = [1] * len(support_vecs[ell])
-        expected[ell] = cert.gamma
-        if list(support_vecs[ell]) != expected or cert.gamma == 0:
-            return False
-    return True
+    indicators = [t_inv.col(ell) for ell in range(cert.k)]
+    supports = [cert.S.row(ell) for ell in range(cert.k)]
+    if cert.transposed:
+        indicators, supports = supports, indicators
+    return all(ind == _indicator(block, len(ind))
+               and sup == _full_support(cert.gamma, ell, len(sup))
+               for ell, (block, ind, sup) in enumerate(zip(cert.row_blocks, indicators, supports)))

@@ -15,6 +15,8 @@ Orders above 2^31 are rejected before any trial division.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import BadModulusError, DivisionByZeroError, FieldSizeError, NotPrimeError
 
 # Extension fields up to this order get log/antilog tables.
@@ -55,19 +57,9 @@ def _power(x, n, mul, one):
     return result
 
 
-def _modulus(p, e, modulus):
-    """The supplied modulus, validated, or by default the least monic
-    irreducible of degree e, ordered by the encoding of its non-leading
-    coefficients as ascending base-p digits."""
-    # polys imports this module, so it can only be imported at call time
-    from .polys import Poly, is_irreducible
-
-    base = FiniteField(p)
-    if modulus is None:
-        for c in range(p**e):
-            mod = tuple(c // p**i % p for i in range(e)) + (1,)
-            if is_irreducible(Poly(base, mod)):
-                return mod
+def _checked_modulus(p, e, modulus):
+    """The supplied modulus as a tuple, if it is monic of degree e with
+    integer coefficients in [0, p); irreducibility is proved later."""
     mod = tuple(modulus)
     if len(mod) != e + 1:
         raise BadModulusError(
@@ -77,8 +69,6 @@ def _modulus(p, e, modulus):
         raise BadModulusError(f"modulus coefficients must be integers in [0, {p})")
     if mod[-1] != 1:
         raise BadModulusError("modulus must be monic")
-    if not is_irreducible(Poly(base, mod)):
-        raise BadModulusError(f"modulus {list(mod)} is reducible over GF({p})")
     return mod
 
 
@@ -155,6 +145,126 @@ def _vector_ops(p, e, modulus):
     return add, sub, neg, mul
 
 
+@cache
+def _arithmetic(p, e, modulus):
+    """(modulus, add, sub, neg, mul, inv, div, log table or None) of GF(p^e),
+    built once per field and process.
+
+    A prime field takes modulus None.  An extension field takes a tuple from
+    ``_checked_modulus``, whose irreducibility is proved here, or None for
+    the default: the least monic irreducible of degree e, ordered by the
+    encoding of its non-leading coefficients as ascending base-p digits.
+    """
+    if e == 1:
+        def add(a, b):
+            return (a + b) % p
+
+        def sub(a, b):
+            return (a - b) % p
+
+        def neg(a):
+            return (-a) % p
+
+        def mul(a, b):
+            return (a * b) % p
+
+        def inv(a):
+            if a % p == 0:
+                raise DivisionByZeroError("inverse of zero")
+            return pow(a, -1, p)
+
+        def div(a, b):
+            return mul(a, inv(b))
+
+        return None, add, sub, neg, mul, inv, div, None
+
+    if modulus is None:
+        # Each candidate is proved once, and the default shares the entry of
+        # its modulus written out; a failure is never cached.
+        for c in range(p**e):
+            try:
+                return _arithmetic(p, e, tuple(c // p**i % p for i in range(e)) + (1,))
+            except BadModulusError:
+                pass
+    # polys imports this module, so it can only be imported at call time
+    from .polys import Poly, is_irreducible
+
+    if not is_irreducible(Poly(FiniteField(p), modulus)):
+        raise BadModulusError(f"modulus {list(modulus)} is reducible over GF({p})")
+    q = p**e
+    add, sub, neg, mul = _vector_ops(p, e, modulus)
+    if q > _LOG_TABLE_LIMIT:
+        def inv(a):
+            if a == 0:
+                raise DivisionByZeroError("inverse of zero")
+            return _power(a, q - 2, mul, 1)
+
+        def div(a, b):
+            return mul(a, inv(b))
+
+        return modulus, add, sub, neg, mul, inv, div, None
+
+    # Log/antilog tables over the least primitive element g: log[g^i] = i,
+    # and exp[i] = g^i for 0 <= i < 2(q - 1), so a sum of two logs needs
+    # no reduction.  Encodings below p lie in the prime subfield, whose
+    # orders divide p - 1 < q - 1, so the search starts at p.
+    order = q - 1
+    cofactors = [order // ell for ell in prime_divisors(order)]
+    g = next(g for g in range(p, q) if all(_power(g, c, mul, 1) != 1 for c in cofactors))
+    exp = [1] * (2 * order)
+    for i in range(1, order):
+        exp[i] = mul(exp[i - 1], g)
+    exp[order:] = exp[:order]
+    log = [0] * q
+    for i in range(order):
+        log[exp[i]] = i
+
+    def mul(a, b):
+        if a and b:
+            return exp[log[a] + log[b]]
+        return 0
+
+    def inv(a):
+        if a == 0:
+            raise DivisionByZeroError("inverse of zero")
+        return exp[order - log[a]]
+
+    def div(a, b):
+        if b == 0:
+            raise DivisionByZeroError("inverse of zero")
+        if a:
+            return exp[log[a] - log[b] + order]
+        return 0
+
+    if p != 2:
+        # Zech logarithms: g^zech[k] = 1 + g^k, or -1 where 1 + g^k = 0;
+        # the table repeats with period q - 1, so log differences index
+        # it directly.  -1 is g^((q - 1) / 2).
+        half = order // 2
+        zech = [0] * (2 * order)
+        for k in range(order):
+            x = exp[k]
+            zech[k] = -1 if k == half else log[x + 1 if x % p != p - 1 else x + 1 - p]
+        zech[order:] = zech[:order]
+
+        def add(a, b):
+            if a and b:
+                la = log[a]
+                z = zech[log[b] - la]
+                return exp[la + z] if z >= 0 else 0
+            return a or b
+
+        def neg(a):
+            if a:
+                return exp[log[a] + half]
+            return 0
+
+        def sub(a, b):
+            return add(a, exp[log[b] + half] if b else 0)
+
+    return modulus, add, sub, neg, mul, inv, div, log
+
+
 class FiniteField:
     """The finite field GF(p^e) operating on integer-encoded elements.
 
@@ -172,7 +282,9 @@ class FiniteField:
     ``FiniteField.of_order(q)`` builds the same field from its order q.
 
     The arithmetic callables ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and
-    ``div`` are bound per instance.  Prime fields compute mod p.  Extension
+    ``div`` are instance attributes, built once per process and shared by
+    every instance of the same field, whether its modulus is the default or
+    written out.  Prime fields compute mod p.  Extension
     fields with q <= 2^16 read log/antilog tables over their least primitive
     element (Huber, IEEE Trans. IT 36(4), 1990): mul, inv and div add or
     subtract logarithms, and add is XOR in characteristic 2 and a Zech
@@ -199,13 +311,18 @@ class FiniteField:
         self.p = p
         self.e = e
         self.q = p**e
-        # a prime field ignores any supplied modulus
-        self.modulus = None if e == 1 else _modulus(p, e, modulus)
-        self._install_ops()
+        if e == 1:
+            modulus = None  # a prime field ignores any supplied modulus
+        elif modulus is not None:
+            modulus = _checked_modulus(p, e, modulus)
+        (self.modulus, self.add, self.sub, self.neg, self.mul, self.inv, self.div,
+         self._log) = _arithmetic(p, e, modulus)
 
     @classmethod
     def of_order(cls, q):
         """GF(q) with the default modulus, for a prime power q."""
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise NotPrimeError(q)
         if q > _ORDER_LIMIT:
             raise FieldSizeError(f"field order {q} exceeds the supported bound 2^31")
         primes = prime_divisors(q)
@@ -218,111 +335,6 @@ class FiniteField:
         return cls(p, e)
 
     # -- arithmetic -------------------------------------------------------
-
-    def _install_ops(self):
-        p, e, q = self.p, self.e, self.q
-        self._log = None
-        if e == 1:
-            def add(a, b):
-                return (a + b) % p
-
-            def sub(a, b):
-                return (a - b) % p
-
-            def neg(a):
-                return (-a) % p
-
-            def mul(a, b):
-                return (a * b) % p
-
-            def inv(a):
-                if a % p == 0:
-                    raise DivisionByZeroError("inverse of zero")
-                return pow(a, -1, p)
-
-            def div(a, b):
-                return mul(a, inv(b))
-
-            self.add, self.sub, self.neg = add, sub, neg
-            self.mul, self.inv, self.div = mul, inv, div
-            return
-
-        add, sub, neg, mul = _vector_ops(p, e, self.modulus)
-        self.mul = mul
-        if q > _LOG_TABLE_LIMIT:
-            def inv(a):
-                if a == 0:
-                    raise DivisionByZeroError("inverse of zero")
-                return self.pow(a, q - 2)
-
-            def div(a, b):
-                return mul(a, inv(b))
-
-            self.add, self.sub, self.neg = add, sub, neg
-            self.inv, self.div = inv, div
-            return
-
-        # Log/antilog tables over the least primitive element g: log[g^i] = i,
-        # and exp[i] = g^i for 0 <= i < 2(q - 1), so a sum of two logs needs
-        # no reduction.  Encodings below p lie in the prime subfield, whose
-        # orders divide p - 1 < q - 1, so the search starts at p.
-        order = q - 1
-        cofactors = [order // ell for ell in prime_divisors(order)]
-        g = next(g for g in range(p, q) if all(self.pow(g, c) != 1 for c in cofactors))
-        exp = [1] * (2 * order)
-        for i in range(1, order):
-            exp[i] = mul(exp[i - 1], g)
-        exp[order:] = exp[:order]
-        log = [0] * q
-        for i in range(order):
-            log[exp[i]] = i
-        self._log = log
-
-        def mul(a, b):
-            if a and b:
-                return exp[log[a] + log[b]]
-            return 0
-
-        def inv(a):
-            if a == 0:
-                raise DivisionByZeroError("inverse of zero")
-            return exp[order - log[a]]
-
-        def div(a, b):
-            if b == 0:
-                raise DivisionByZeroError("inverse of zero")
-            if a:
-                return exp[log[a] - log[b] + order]
-            return 0
-
-        if p != 2:
-            # Zech logarithms: g^zech[k] = 1 + g^k, or -1 where 1 + g^k = 0;
-            # the table repeats with period q - 1, so log differences index
-            # it directly.  -1 is g^((q - 1) / 2).
-            half = order // 2
-            zech = [0] * (2 * order)
-            for k in range(order):
-                x = exp[k]
-                zech[k] = -1 if k == half else log[x + 1 if x % p != p - 1 else x + 1 - p]
-            zech[order:] = zech[:order]
-
-            def add(a, b):
-                if a and b:
-                    la = log[a]
-                    z = zech[log[b] - la]
-                    return exp[la + z] if z >= 0 else 0
-                return a or b
-
-            def neg(a):
-                if a:
-                    return exp[log[a] + half]
-                return 0
-
-            def sub(a, b):
-                return add(a, exp[log[b] + half] if b else 0)
-
-        self.add, self.sub, self.neg = add, sub, neg
-        self.mul, self.inv, self.div = mul, inv, div
 
     def pow(self, a, n):
         """a raised to an integer power; negative exponents invert first."""

@@ -26,19 +26,26 @@ from .fields import FiniteField
 from .polys import Poly
 
 
+def _size(n):
+    """n itself if it is a matrix size: an int, not a bool, at least 0."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SizeMismatchError(f"matrix sizes must be integers, got {n!r}")
+    if n < 0:
+        raise SizeMismatchError(f"matrix sizes must be non-negative, got {n}")
+    return n
+
+
 class Matrix:
     """An r x s matrix with integer-encoded entries, row major."""
 
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: FiniteField, nrows: int, ncols: int, entries):
-        for size in (nrows, ncols):
-            if not isinstance(size, int) or isinstance(size, bool):
-                raise SizeMismatchError(f"matrix sizes must be integers, got {size!r}")
+        count = _size(nrows) * _size(ncols)
         entries = tuple(entries)
-        if nrows < 0 or ncols < 0 or len(entries) != nrows * ncols:
+        if len(entries) != count:
             raise SizeMismatchError(
-                f"expected {nrows}x{ncols} = {nrows * ncols} entries, got {len(entries)}"
+                f"expected {nrows}x{ncols} = {count} entries, got {len(entries)}"
             )
         q = field.q
         for v in entries:
@@ -64,16 +71,16 @@ class Matrix:
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols, (0,) * (nrows * ncols))
+        return cls(field, nrows, ncols, (0,) * (_size(nrows) * _size(ncols)))
 
     @classmethod
     def identity(cls, field, n):
-        return cls.diagonal(field, [1] * n)
+        return cls.scalar(field, n, 1)
 
     @classmethod
     def scalar(cls, field, n, c):
         """c times the identity."""
-        return cls.diagonal(field, [c] * n)
+        return cls.diagonal(field, [c] * _size(n))
 
     @classmethod
     def diagonal(cls, field, values):

@@ -51,22 +51,13 @@ def field_to_json(field: FiniteField) -> dict:
     return out
 
 
-def field_from_json(obj, fields=None) -> FiniteField:
-    """Parse a field.  ``fields`` memoizes the fields of one parse on
-    (p, e, modulus), so a document that repeats a field builds it once; a
-    field that fails validation is never stored and raises every time."""
+def field_from_json(obj) -> FiniteField:
     p = _require(obj, "p", int, "field")
     e = _require(obj, "e", int, "field")
     modulus = None
     if "modulus" in obj and obj["modulus"] is not None:
         modulus = tuple(_int_list(obj["modulus"], "field modulus"))
-    if fields is None:
-        return FiniteField(p, e, modulus)
-    key = (p, e, modulus)
-    field = fields.get(key)
-    if field is None:
-        field = fields[key] = FiniteField(p, e, modulus)
-    return field
+    return FiniteField(p, e, modulus)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -92,8 +83,8 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(obj, fields=None) -> Matrix:
-    field = field_from_json(_require(obj, "field", dict, "matrix"), fields)
+def matrix_from_json(obj) -> Matrix:
+    field = field_from_json(_require(obj, "field", dict, "matrix"))
     nrows = _require(obj, "rows", int, "matrix")
     ncols = _require(obj, "cols", int, "matrix")
     raw = _require(obj, "entries", list, "matrix")
@@ -123,11 +114,10 @@ def code_to_json(code: IntertwiningCode) -> dict:
 def code_from_json(obj) -> IntertwiningCode:
     """Parse a code; like any other extra key, the "d" and "d_budget" keys
     that older versions wrote are ignored."""
-    fields = {}
-    field = field_from_json(_require(obj, "field", dict, "code"), fields)
+    field = field_from_json(_require(obj, "field", dict, "code"))
     r = _require(obj, "r", int, "code")
     s = _require(obj, "s", int, "code")
-    basis = [matrix_from_json(m, fields) for m in _require(obj, "basis", list, "code")]
+    basis = [matrix_from_json(m) for m in _require(obj, "basis", list, "code")]
     return IntertwiningCode(field, r, s, basis)
 
 
@@ -169,8 +159,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj) -> Certificate:
-    fields = {}
-    field = field_from_json(_require(obj, "field", dict, "certificate"), fields)
+    field = field_from_json(_require(obj, "field", dict, "certificate"))
     alpha = _optional_int(obj, "alpha", "certificate")
     beta = _optional_int(obj, "beta", "certificate")
     transposed = obj.get("transposed", False)
@@ -179,7 +168,7 @@ def certificate_from_json(obj) -> Certificate:
     blocks = _require(obj, "row_blocks", list, "certificate")
 
     def matrix(key):
-        return matrix_from_json(_require(obj, key, dict, "certificate"), fields)
+        return matrix_from_json(_require(obj, key, dict, "certificate"))
 
     return Certificate(
         field=field,
@@ -196,7 +185,7 @@ def certificate_from_json(obj) -> Certificate:
         S=matrix("S"),
         A=matrix("A"),
         B=matrix("B"),
-        X=tuple(matrix_from_json(x, fields) for x in _require(obj, "X", list, "certificate")),
+        X=tuple(matrix_from_json(x) for x in _require(obj, "X", list, "certificate")),
         row_blocks=tuple(tuple(_int_list(b, "row block")) for b in blocks),
         claimed_d=_require(obj, "claimed_d", int, "certificate"),
         transposed=transposed,

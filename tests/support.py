@@ -16,14 +16,10 @@ from intertwine import (
     primary_decomposition,
 )
 
-_FIELD_CACHE = {}
-
 
 def get_field(q):
-    """Cached GF(q) for a prime power written as a plain integer."""
-    if q not in _FIELD_CACHE:
-        _FIELD_CACHE[q] = FiniteField.of_order(q)
-    return _FIELD_CACHE[q]
+    """GF(q) for a prime power written as a plain integer."""
+    return FiniteField.of_order(q)
 
 
 def reference_is_irreducible(p, f):

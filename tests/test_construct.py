@@ -66,6 +66,19 @@ def test_bad_k_rejected():
         construct_code(2, 3, 3, F5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: construct_code(True, 2, 1, F5),
+    lambda: construct_code(3.0, 2, 1, F5),
+    lambda: construct_code(3, 2, 1.0, F5),
+    lambda: construct_extremal(3, 2.0, F5),
+    lambda: construct_extremal(True, 2, F5),
+    lambda: diagonal_seed(2, 2, True, F5),
+])
+def test_sizes_that_are_not_plain_ints_rejected(build):
+    with pytest.raises(BadKError, match="must be integers"):
+        build()
+
+
 def test_construct_code_example_3_2_2():
     cert = construct_code(3, 2, 2, F5)
     assert cert.row_blocks == ((1,), (2, 3))

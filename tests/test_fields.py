@@ -11,6 +11,7 @@ from intertwine import (
     FiniteField,
     NotPrimeError,
 )
+from intertwine import fields, polys
 from intertwine.fields import _vector_ops
 from support import get_field, reference_is_irreducible
 
@@ -78,6 +79,14 @@ def test_of_order():
         FiniteField.of_order(2**61 - 1)
 
 
+@pytest.mark.parametrize("q", [4.0, 5.0, True, "4", None])
+def test_order_that_is_not_an_int_rejected(q):
+    with pytest.raises(NotPrimeError):
+        FiniteField.of_order(q)
+    with pytest.raises(NotPrimeError):
+        FiniteField(q)
+
+
 def test_composite_characteristic_rejected():
     with pytest.raises(NotPrimeError) as exc:
         FiniteField(4)
@@ -97,6 +106,32 @@ def test_bad_modulus_rejected():
     for modulus in ((1, 1, True), (True, 1, 1), (1, False, 1)):
         with pytest.raises(BadModulusError, match="must be integers"):
             FiniteField(2, 2, modulus)
+
+
+def test_field_arithmetic_is_built_once(monkeypatch):
+    # the modulus proof and the tables run on the first build only, and the
+    # default modulus written out names the same field
+    fields._arithmetic.cache_clear()
+    calls = {"is_irreducible": 0, "_vector_ops": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(polys, "is_irreducible")
+    counting(fields, "_vector_ops")
+    first = FiniteField(2, 8)
+    assert calls["is_irreducible"] > 0 and calls["_vector_ops"] == 1
+    calls.update(dict.fromkeys(calls, 0))
+    for again in (FiniteField(2, 8), FiniteField(2, 8, first.modulus)):
+        assert again == first
+        assert again._log is first._log
+        assert again.mul is first.mul
+    assert calls == {"is_irreducible": 0, "_vector_ops": 0}
 
 
 def test_pow_examples_and_negative_exponents():

@@ -230,6 +230,20 @@ def test_matrix_shape_validation():
             Matrix(F2, nrows, ncols, entries)
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda: Matrix.identity(F2, -1), "-1"),
+    (lambda: Matrix.scalar(F5, -1, 2), "-1"),
+    (lambda: Matrix.identity(F2, True), "True"),
+    (lambda: Matrix.identity(F2, 2.0), "2.0"),
+    (lambda: Matrix.zero(F2, 2.0, 2.0), "2.0"),
+    (lambda: Matrix.zero(F2, -1, -1), "-1"),
+    (lambda: Matrix(F2, -1, -1, [0]), "-1"),
+])
+def test_bad_sizes_are_named(build, size):
+    with pytest.raises(SizeMismatchError, match=f"matrix sizes must be .*, got {size}$"):
+        build()
+
+
 def test_indices_stay_inside_the_matrix():
     m = Matrix.from_rows(F5, [[1, 2], [3, 4]])
     assert [m[i, j] for i in range(2) for j in range(2)] == [1, 2, 3, 4]

@@ -78,11 +78,13 @@ def test_certificate_roundtrip(cert_args):
     assert verify_certificate(back).passed
 
 
-def test_certificate_parse_builds_each_field_once():
+def test_certificate_parse_shares_field_arithmetic():
     cert = construct_code(3, 2, 2, get_field(256))
     back = serialize.certificate_from_json(json.loads(json.dumps(
         serialize.certificate_to_json(cert))))
-    assert back.A.field is back.B.field is back.X[0].field is back.field
+    for m in (back.A0, back.B0, back.R, back.S, back.A, back.B, *back.X):
+        assert m.field == back.field
+        assert m.field.mul is back.field.mul
 
 
 def test_certificate_transposed_key():
@@ -103,15 +105,16 @@ def test_certificate_scalars_reject_booleans():
             serialize.certificate_from_json(dict(blob, **{key: True}))
 
 
-def test_field_memo_never_stores_a_failed_field():
-    fields = {}
+def test_reducible_modulus_fails_every_time():
     bad = {"p": 2, "e": 2, "modulus": [1, 0, 1]}  # t^2 + 1 = (t + 1)^2
     for _ in range(2):
-        with pytest.raises(BadModulusError):
-            serialize.field_from_json(bad, fields)
-    assert fields == {}
+        with pytest.raises(BadModulusError, match="reducible"):
+            serialize.field_from_json(bad)
+    for _ in range(2):
+        with pytest.raises(BadModulusError, match="reducible"):
+            FiniteField(2, 2, [1, 0, 1])
     good = {"p": 2, "e": 2, "modulus": [1, 1, 1]}
-    assert serialize.field_from_json(good, fields) is serialize.field_from_json(good, fields)
+    assert serialize.field_from_json(good) == FiniteField(2, 2)
 
 
 def test_certificate_key_order_is_stable():
