@@ -1,9 +1,10 @@
 """Gauss-Jordan elimination, Hessenberg reduction, matrix and polynomial
-products, polynomial division, row updates and codeword rows, byte-packed
-over small fields.
+products, polynomial division, row updates and codeword rows over any
+finite field, on byte-packed rows where the field allows.
 
-A row of m entries is one Python int made from m bytes, one byte per entry,
-most significant first, so the entry in column c is
+``_format`` alone decides which fields get byte rows.  A row of m entries
+is then one Python int made from m bytes, one byte per entry, most
+significant first, so the entry in column c is
 ``(row >> 8 * (m - 1 - c)) & 255``.  A multiple of a row is the row's bytes
 mapped through a 256-byte table with ``bytes.translate``.
 
@@ -12,9 +13,9 @@ mapped through a 256-byte table with ``bytes.translate``.
   bytes, because a byte sum is at most 2(p - 1) <= 252; one ``translate``
   by the table of x mod p then reduces every byte.
 
-Other fields do not qualify and keep the list loops in ``Matrix.rref``,
-``Matrix.__mul__``, ``matrices._hessenberg``, ``Poly.__mul__`` and
-``Poly.__divmod__``.  This is the
+For any other field ``_format`` gives None and each kernel runs its list
+loop, which calls the field once per entry; the tests take the list loops
+as the reference for every field.  This is the
 word-packed elimination of M4RI (Albrecht, Bard, Hart, ACM TOMS 2010) with
 bytes for words.  A product sums up to 255 // (p - 1) prime-field rows
 before it reduces, since no byte can pass 255 before then.
@@ -31,14 +32,7 @@ all the rows below the pivot, and its column updates sum the column slices
 ``flat[i::n]``.
 
 ``_axpy_ops`` gives the row updates x + c*y of the intertwiner solver in
-``codes`` on the same rows, and plain lists for fields that do not qualify.
-
-The codeword scan of ``codes.min_distance`` only adds rows and counts their
-nonzero entries, so ``_row_ops`` packs any field with p < 128: an entry
-becomes e bytes, one per GF(p) coefficient of its encoding, kept in e planes
-of n bytes each, and rows add as prime-field rows do.  Characteristic 2 with
-q <= 256 keeps one encoding byte per entry; fields with p >= 128 keep plain
-lists.
+``codes``, and ``_row_ops`` the row sums and weights of its codeword scan.
 """
 
 from __future__ import annotations
@@ -62,40 +56,66 @@ class _Scales(dict):
         return table
 
 
-# Below this size the list loops in Poly are faster: setting up a packed
+# Below this size the list loop of ``_poly`` is faster: setting up a packed
 # product or division costs about as much as 32 field calls.  Keeping tiny
 # operands there keeps the default-modulus search of ``fields`` as fast.
 _POLY_MIN_PAIRS = 32
 
 
-def _byte_field(field):
-    """True when rows of the field pack one byte per entry: characteristic 2
-    with q <= 256, or a prime field with p < 128."""
-    p = field.p
-    return p == 2 and field.q <= 256 or field.e == 1 and p < 128
-
-
 @cache
-def _scales(field):
-    return _Scales(field)
+def _format(field):
+    """(scale, reduce, limit) when rows of the field pack one byte per entry,
+    characteristic 2 with q <= 256 or a prime field with p < 128; None for
+    every other field.
+
+    scale maps c to the table of x -> c*x, reduce is the table of x mod p
+    (None in characteristic 2, where rows add by XOR), and a byte sum of up
+    to limit = 255 // (p - 1) prime-field terms, each at most p - 1, stays
+    below 256.
+    """
+    p = field.p
+    if not (p == 2 and field.q <= 256 or field.e == 1 and p < 128):
+        return None
+    scale = _Scales(field)
+    return scale, None if p == 2 else scale[1], 255 // (p - 1)
 
 
 def _rref(field, nrows, ncols, entries):
-    """Reduced row echelon form of a row-major entry sequence.
-
-    Returns (entries, rank, pivot_columns), or None when the field does not
-    qualify (see ``_byte_field``).
-    """
-    if not _byte_field(field):
-        return None
-    neg, inv = field.neg, field.inv
-    scale = _scales(field)
-    reduce = None if field.p == 2 else scale[1]
+    """Reduced row echelon form of a row-major entry sequence: (entries,
+    rank, pivot_columns)."""
     n, m = nrows, ncols
-    flat = bytes(entries)
-    rows = [int.from_bytes(flat[i * m:(i + 1) * m], "big") for i in range(n)]
     pivots = []
     r = 0
+    fmt = _format(field)
+    if fmt is None:
+        sub, mul, inv = field.sub, field.mul, field.inv
+        rows = [list(entries[i * m:(i + 1) * m]) for i in range(n)]
+        for c in range(m):
+            if r == n:
+                break
+            pr = next((i for i in range(r, n) if rows[i][c]), None)
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            pv = rows[r][c]
+            if pv != 1:
+                ip = inv(pv)
+                rows[r] = [mul(ip, v) for v in rows[r]]
+            top = rows[r]
+            for i in range(n):
+                if i != r and rows[i][c]:
+                    ci = rows[i][c]
+                    rowi = rows[i]
+                    for j in range(c, m):
+                        if top[j]:
+                            rowi[j] = sub(rowi[j], mul(ci, top[j]))
+            pivots.append(c)
+            r += 1
+        return [v for row in rows for v in row], r, tuple(pivots)
+    scale, reduce, _ = fmt
+    neg, inv = field.neg, field.inv
+    flat = bytes(entries)
+    rows = [int.from_bytes(flat[i * m:(i + 1) * m], "big") for i in range(n)]
     for c in range(m):
         if r == n:
             break
@@ -130,17 +150,29 @@ def _rref(field, nrows, ncols, entries):
 def _matmul(field, n, m, k, a, b):
     """Entries of the n x k product of row-major a (n x m) and b (m x k).
 
-    Row i of the product is the sum over t of a[i, t] times row t of b, each
-    multiple made by one ``translate``.  Returns None when the field does not
-    qualify (see ``_byte_field``).
+    On byte rows, row i of the product is the sum over t of a[i, t] times
+    row t of b, each multiple made by one ``translate``.
     """
-    if not _byte_field(field):
-        return None
-    scale = _scales(field)
+    fmt = _format(field)
+    if fmt is None:
+        add, mul = field.add, field.mul
+        out = [0] * (n * k)
+        for i in range(n):
+            arow = a[i * m:(i + 1) * m]
+            base = i * k
+            for t in range(m):
+                c = arow[t]
+                if c:
+                    brow = b[t * k:(t + 1) * k]
+                    for j in range(k):
+                        if brow[j]:
+                            out[base + j] = add(out[base + j], mul(c, brow[j]))
+        return out
+    scale, reduce, limit = fmt
     flat = bytes(b)
     brows = [flat[t * k:(t + 1) * k] for t in range(m)]
     out = []
-    if field.p == 2:
+    if reduce is None:
         for i in range(n):
             acc = 0
             for c, brow in zip(a[i * m:(i + 1) * m], brows):
@@ -148,10 +180,7 @@ def _matmul(field, n, m, k, a, b):
                     acc ^= int.from_bytes(brow.translate(scale[c]), "big")
             out.append(acc.to_bytes(k, "big"))
         return b"".join(out)
-    # A byte sum stays below 256 for up to 255 // (p - 1) terms, each at most
-    # p - 1; after that the sum is reduced and counts as one term.
-    reduce = scale[1]
-    limit = 255 // (field.p - 1)
+    # after limit terms the sum is reduced and counts as one term
     for i in range(n):
         acc = terms = 0
         for c, brow in zip(a[i * m:(i + 1) * m], brows):
@@ -166,24 +195,59 @@ def _matmul(field, n, m, k, a, b):
 
 
 def _hessenberg(field, n, entries, transform):
-    """(h, p) as ``matrices._hessenberg`` computes them: the rows of H as
-    lists, and P's row-major entries when transform is true (else None).
-    Returns None when the field does not qualify (see ``_byte_field``).
+    """(h, p): the rows of an upper Hessenberg H = P M P^-1 as lists, for M
+    the n x n matrix of the row-major entries, and P's row-major entries
+    when transform is true (else None).
 
-    H and P are flat bytearrays of n * n bytes.  At column j every multiplier
-    u_i = h_ij / h_kj (k = j + 1) is read before any update: no column update
-    touches column j, and the row update of row i is the only one to change
-    h_ij.  The row updates row_i -= u_i row_k of H and of P are one sum over
-    the rows below k, whose addend joins the multiples of row k; the column
-    update col_k += sum_i u_i col_i sums the slices ``flat[i::n]``, reduced
-    as in ``_matmul``.  Left and right updates commute, so H and P equal the
-    list loop's entry for entry.
+    For each column j, the first row at or below j + 1 with a nonzero entry
+    in column j is swapped into row j + 1 (and the same columns swapped),
+    then each lower row i loses u times row j + 1 while column j + 1 gains
+    u times column i.  P collects the row operations.
+
+    On byte rows H and P are flat bytearrays of n * n bytes.  At column j
+    every multiplier u_i = h_ij / h_kj (k = j + 1) is read before any
+    update: no column update touches column j, and the row update of row i
+    is the only one to change h_ij.  The row updates row_i -= u_i row_k of H
+    and of P are one sum over the rows below k, whose addend joins the
+    multiples of row k; the column update col_k += sum_i u_i col_i sums the
+    slices ``flat[i::n]``, reduced as in ``_matmul``.  Left and right
+    updates commute, so H and P equal the list loop's entry for entry.
     """
-    if not _byte_field(field):
-        return None
-    scale = _scales(field)
-    reduce = None if field.p == 2 else scale[1]
-    limit = 255 // (field.p - 1)
+    fmt = _format(field)
+    if fmt is None:
+        add, sub, mul, inv = field.add, field.sub, field.mul, field.inv
+        h = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
+        p = [[int(i == j) for j in range(n)] for i in range(n)] if transform else None
+        for j in range(n - 2):
+            piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+            if piv is None:
+                continue
+            k = j + 1
+            if piv != k:
+                h[piv], h[k] = h[k], h[piv]
+                for row in h:
+                    row[piv], row[k] = row[k], row[piv]
+                if transform:
+                    p[piv], p[k] = p[k], p[piv]
+            top = h[k]
+            iv = inv(top[j])
+            for i in range(k + 1, n):
+                row = h[i]
+                if row[j]:
+                    u = mul(row[j], iv)
+                    for c in range(j, n):
+                        if top[c]:
+                            row[c] = sub(row[c], mul(u, top[c]))
+                    for r in h:
+                        if r[i]:
+                            r[k] = add(r[k], mul(u, r[i]))
+                    if transform:
+                        prow, ptop = p[i], p[k]
+                        for c in range(n):
+                            if ptop[c]:
+                                prow[c] = sub(prow[c], mul(u, ptop[c]))
+        return h, [v for row in p for v in row] if transform else None
+    scale, reduce, limit = fmt
     flat = bytearray(entries)
     mats = [flat]
     if transform:
@@ -237,22 +301,44 @@ def _hessenberg(field, n, entries, transform):
 
 
 def _poly(field, a, b, divide=False):
-    """a * b, or with divide (quotient, remainder) of a by b, as bytes of
-    ascending coefficients that may end in zeros; b is nonzero and, to
-    divide, no longer than a.  Returns None when the field does not qualify
-    (see ``_byte_field``) or the list loop makes at most _POLY_MIN_PAIRS
-    coefficient products.
+    """a * b, or with divide (quotient, remainder) of a by b, as ascending
+    coefficients that may end in zeros; b is nonzero and, to divide, no
+    longer than a.  The list loop also takes operands for which it makes at
+    most _POLY_MIN_PAIRS coefficient products.
 
-    A product adds the multiples c * b shifted by i for the nonzero
-    coefficients c = a_i of the shorter factor; division subtracts one per
-    quotient coefficient.  Prime-field sums are reduced as in ``_matmul``.
+    On byte rows a product adds the multiples c * b shifted by i for the
+    nonzero coefficients c = a_i of the shorter factor; division subtracts
+    one per quotient coefficient.  Prime-field sums are reduced as in
+    ``_matmul``.
     """
     pairs = (len(a) - len(b) + 1) * len(b) if divide else len(a) * len(b)
-    if pairs <= _POLY_MIN_PAIRS or not _byte_field(field):
-        return None
-    scale = _scales(field)
-    reduce = None if field.p == 2 else scale[1]
-    limit = 255 // (field.p - 1)
+    fmt = _format(field) if pairs > _POLY_MIN_PAIRS else None
+    if fmt is None and divide:
+        a = list(a)
+        bq = b
+        db = len(b) - 1
+        inv_lead = field.inv(bq[-1])
+        sub, mul = field.sub, field.mul
+        qcoeffs = [0] * (len(a) - db)
+        for i in range(len(a) - 1 - db, -1, -1):
+            top = a[i + db]
+            if top:
+                c = mul(top, inv_lead)
+                qcoeffs[i] = c
+                for j in range(db + 1):
+                    if bq[j]:
+                        a[i + j] = sub(a[i + j], mul(c, bq[j]))
+        return qcoeffs, a[:db]
+    if fmt is None:
+        out = [0] * (len(a) + len(b) - 1)
+        add, mul = field.add, field.mul
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = add(out[i + j], mul(x, y))
+        return out
+    scale, reduce, limit = fmt
     if divide:
         size, db = len(a), len(b) - 1
         # the top byte x of the running remainder gives the quotient
@@ -301,18 +387,19 @@ def _axpy_ops(field, n):
     """(pack, axpy, unpack) for vectors of n entries of the field.
 
     pack turns an entry sequence into a vector, axpy(x, c, y) is the vector
-    x + c*y and unpack gives the entries back.  A field that qualifies (see
-    ``_byte_field``) keeps a vector as one int of n bytes; any other keeps a
-    list and calls the field per entry.
+    x + c*y and unpack gives the entries back.  A field with byte rows keeps
+    a vector as one int of n bytes; any other keeps a list and calls the
+    field per entry.
     """
-    if not _byte_field(field):
+    fmt = _format(field)
+    if fmt is None:
         add, mul = field.add, field.mul
 
         def axpy(x, c, y):
             return [add(a, mul(c, b)) if b else a for a, b in zip(x, y)]
 
         return list, axpy, list
-    scale = _scales(field)
+    scale, reduce, _ = fmt
 
     def pack(entries):
         return int.from_bytes(bytes(entries), "big")
@@ -320,12 +407,10 @@ def _axpy_ops(field, n):
     def unpack(x):
         return x.to_bytes(n, "big")
 
-    if field.p == 2:
+    if reduce is None:
         def axpy(x, c, y):
             return x ^ int.from_bytes(y.to_bytes(n, "big").translate(scale[c]), "big")
     else:
-        reduce = scale[1]
-
         def axpy(x, c, y):
             total = x + int.from_bytes(y.to_bytes(n, "big").translate(scale[c]), "big")
             return int.from_bytes(total.to_bytes(n, "big").translate(reduce), "big")
@@ -337,15 +422,20 @@ def _row_ops(field, n):
     """(pack, add, weight) for rows of n entries of the field.
 
     pack turns an entry sequence into a row, add sums two rows and weight
-    counts the nonzero entries of a row.
+    counts the nonzero entries of a row.  The scan only adds rows, so every
+    field with p < 128 packs: byte rows in characteristic 2 add by XOR, and
+    any other such field keeps an entry as e bytes, one per GF(p)
+    coefficient of its encoding, in e planes of n bytes each, which add as
+    prime-field rows do.  Fields with p >= 128 keep plain lists.
     """
+    fmt = _format(field)
+    if fmt is not None and fmt[1] is None:
+        return (lambda entries: int.from_bytes(bytes(entries), "big"), xor,
+                lambda x: n - x.to_bytes(n, "big").count(0))
     p, e = field.p, field.e
     if p >= 128:
         fadd = field.add
         return list, lambda x, y: [fadd(a, b) for a, b in zip(x, y)], lambda x: n - x.count(0)
-    if p == 2 and field.q <= 256:
-        return (lambda entries: int.from_bytes(bytes(entries), "big"), xor,
-                lambda x: n - x.to_bytes(n, "big").count(0))
     size = e * n
     shifts = [8 * n * t for t in range(1, e)]
 

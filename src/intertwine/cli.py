@@ -44,11 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _budget(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, *, field_opts=False, budget=False):
     sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     if budget:
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sub.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                          help="maximum number of enumerated codewords (default 2^24)")
     if field_opts:
         group = sub.add_mutually_exclusive_group(required=True)

@@ -40,9 +40,24 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
+@cache
+def _prime_power(n):
+    """(p, e) with n = p^e for a prime p, or None; n is divided once per
+    process, so a field is rebuilt without any trial division."""
+    primes = prime_divisors(n)
+    if len(primes) != 1:
+        return None
+    p = primes[0]
+    e = 1
+    while p**e < n:
+        e += 1
+    return p, e
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division, adequate for the supported range."""
-    return prime_divisors(n) == [n]
+    """Primality by trial division, adequate for the supported range; each n
+    is divided once per process."""
+    return _prime_power(n) == (n, 1)
 
 
 def _power(x, n, mul, one):
@@ -325,14 +340,10 @@ class FiniteField:
             raise NotPrimeError(q)
         if q > _ORDER_LIMIT:
             raise FieldSizeError(f"field order {q} exceeds the supported bound 2^31")
-        primes = prime_divisors(q)
-        if len(primes) != 1:
+        power = _prime_power(q)
+        if power is None:
             raise NotPrimeError(q)
-        p = primes[0]
-        e = 1
-        while p**e < q:
-            e += 1
-        return cls(p, e)
+        return cls(*power)
 
     # -- arithmetic -------------------------------------------------------
 

@@ -5,9 +5,8 @@ vectorization convention used throughout the library.  The characteristic
 polynomial comes from a similarity reduction to upper Hessenberg form
 (``_hessenberg``, which also serves the intertwiner solver of ``codes``) and
 the Hessenberg determinant recurrence, O(n^3) field operations in every
-characteristic.  Products, elimination and the Hessenberg reduction run on
-byte-packed rows over small fields (``_packed._rref``, ``_matmul`` and
-``_hessenberg``).
+characteristic.  Products, elimination and the Hessenberg reduction are the
+kernels ``_packed._matmul``, ``_rref`` and ``_hessenberg``.
 """
 
 from __future__ import annotations
@@ -176,25 +175,8 @@ class Matrix:
             raise SizeMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        f = self.field
-        n, m, k = self.nrows, self.ncols, other.ncols
-        a, b = self.entries, other.entries
-        packed = _packed._matmul(f, n, m, k, a, b)
-        if packed is not None:
-            return Matrix._raw(f, n, k, packed)
-        add, mul = f.add, f.mul
-        out = [0] * (n * k)
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            base = i * k
-            for t in range(m):
-                c = arow[t]
-                if c:
-                    brow = b[t * k:(t + 1) * k]
-                    for j in range(k):
-                        if brow[j]:
-                            out[base + j] = add(out[base + j], mul(c, brow[j]))
-        return Matrix._raw(f, n, k, out)
+        f, n, m, k = self.field, self.nrows, self.ncols, other.ncols
+        return Matrix._raw(f, n, k, _packed._matmul(f, n, m, k, self.entries, other.entries))
 
     def scale(self, c: int):
         """Multiply every entry by the field element c."""
@@ -223,39 +205,8 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, rank, pivot_columns)."""
-        packed = _packed._rref(self.field, self.nrows, self.ncols, self.entries)
-        if packed is not None:
-            flat, rank, pivots = packed
-            return Matrix._raw(self.field, self.nrows, self.ncols, flat), rank, pivots
-        f = self.field
-        sub, mul, inv = f.sub, f.mul, f.inv
-        n, m = self.nrows, self.ncols
-        rows = [list(self.entries[i * m:(i + 1) * m]) for i in range(n)]
-        pivots = []
-        r = 0
-        for c in range(m):
-            if r == n:
-                break
-            pr = next((i for i in range(r, n) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            if pv != 1:
-                ip = inv(pv)
-                rows[r] = [mul(ip, v) for v in rows[r]]
-            top = rows[r]
-            for i in range(n):
-                if i != r and rows[i][c]:
-                    ci = rows[i][c]
-                    rowi = rows[i]
-                    for j in range(c, m):
-                        if top[j]:
-                            rowi[j] = sub(rowi[j], mul(ci, top[j]))
-            pivots.append(c)
-            r += 1
-        flat = [v for row in rows for v in row]
-        return Matrix._raw(f, n, m, flat), r, tuple(pivots)
+        flat, rank, pivots = _packed._rref(self.field, self.nrows, self.ncols, self.entries)
+        return Matrix._raw(self.field, self.nrows, self.ncols, flat), rank, pivots
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -343,55 +294,11 @@ class Matrix:
 
 def _hessenberg(m: Matrix, transform=False):
     """(h, P): the rows of an upper Hessenberg H = P M P^-1 as lists, and P as
-    a Matrix when transform is true (else None).
-
-    For each column j, the first row at or below j + 1 with a nonzero entry
-    in column j is swapped into row j + 1 (and the same columns swapped),
-    then each lower row i loses u times row j + 1 while column j + 1 gains
-    u times column i.  P collects the row operations.  Over small fields
-    ``_packed._hessenberg`` does the same updates on byte rows; this loop is
-    for the other fields and the tests' reference.
+    a Matrix when transform is true (else None); see ``_packed._hessenberg``.
     """
-    f = m.field
     n = m.nrows
-    packed = _packed._hessenberg(f, n, m.entries, transform)
-    if packed is not None:
-        h, p = packed
-        return h, Matrix._raw(f, n, n, p) if transform else None
-    add, sub, mul, inv = f.add, f.sub, f.mul, f.inv
-    h = [list(m.entries[i * n:(i + 1) * n]) for i in range(n)]
-    p = [[int(i == j) for j in range(n)] for i in range(n)] if transform else None
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if piv is None:
-            continue
-        k = j + 1
-        if piv != k:
-            h[piv], h[k] = h[k], h[piv]
-            for row in h:
-                row[piv], row[k] = row[k], row[piv]
-            if transform:
-                p[piv], p[k] = p[k], p[piv]
-        top = h[k]
-        iv = inv(top[j])
-        for i in range(k + 1, n):
-            row = h[i]
-            if row[j]:
-                u = mul(row[j], iv)
-                for c in range(j, n):
-                    if top[c]:
-                        row[c] = sub(row[c], mul(u, top[c]))
-                for r in h:
-                    if r[i]:
-                        r[k] = add(r[k], mul(u, r[i]))
-                if transform:
-                    prow, ptop = p[i], p[k]
-                    for c in range(n):
-                        if ptop[c]:
-                            prow[c] = sub(prow[c], mul(u, ptop[c]))
-    if transform:
-        p = Matrix._raw(f, n, n, [v for row in p for v in row])
-    return h, p
+    h, p = _packed._hessenberg(m.field, n, m.entries, transform)
+    return h, Matrix._raw(m.field, n, n, p) if transform else None
 
 
 def poly_eval(f: Poly, m: Matrix) -> Matrix:

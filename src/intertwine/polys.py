@@ -126,17 +126,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
-        packed = _poly(f, a, b)
-        if packed is not None:
-            return Poly._raw(f, packed)
-        out = [0] * (len(a) + len(b) - 1)
-        add, mul = f.add, f.mul
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
-        return Poly._raw(f, out)
+        return Poly._raw(f, _poly(f, a, b))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -155,26 +145,10 @@ class Poly:
         if other.is_zero:
             raise ZeroPolynomialError("division by the zero polynomial")
         f = self.field
-        db = other.degree
-        if self.degree < db:
+        if self.degree < other.degree:
             return Poly.zero(f), self
-        packed = _poly(f, self.coeffs, other.coeffs, divide=True)
-        if packed is not None:
-            return Poly._raw(f, packed[0]), Poly._raw(f, packed[1])
-        a = list(self.coeffs)
-        bq = other.coeffs
-        inv_lead = f.inv(bq[-1])
-        sub, mul = f.sub, f.mul
-        qcoeffs = [0] * (self.degree - db + 1)
-        for i in range(self.degree - db, -1, -1):
-            top = a[i + db]
-            if top:
-                c = mul(top, inv_lead)
-                qcoeffs[i] = c
-                for j in range(db + 1):
-                    if bq[j]:
-                        a[i + j] = sub(a[i + j], mul(c, bq[j]))
-        return Poly._raw(f, qcoeffs), Poly._raw(f, a[:db])
+        quot, rem = _poly(f, self.coeffs, other.coeffs, divide=True)
+        return Poly._raw(f, quot), Poly._raw(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

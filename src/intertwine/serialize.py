@@ -112,13 +112,18 @@ def code_to_json(code: IntertwiningCode) -> dict:
 
 
 def code_from_json(obj) -> IntertwiningCode:
-    """Parse a code; like any other extra key, the "d" and "d_budget" keys
-    that older versions wrote are ignored."""
+    """Parse a code; an optional "k" must equal the rank of the basis.  Like
+    any other extra key, the "d" and "d_budget" keys that older versions
+    wrote are ignored."""
     field = field_from_json(_require(obj, "field", dict, "code"))
     r = _require(obj, "r", int, "code")
     s = _require(obj, "s", int, "code")
     basis = [matrix_from_json(m) for m in _require(obj, "basis", list, "code")]
-    return IntertwiningCode(field, r, s, basis)
+    code = IntertwiningCode(field, r, s, basis)
+    k = _optional_int(obj, "k", "code")
+    if k is not None and k != code.k:
+        raise ValueError(f"code: key 'k' is {k}, but the basis has rank {code.k}")
+    return code
 
 
 # -- factorizations ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
 from itertools import product
+from unittest import mock
 
+from intertwine import _packed
 from intertwine import (
     DimensionBreakdown,
     FactorTerm,
@@ -20,6 +22,12 @@ from intertwine import (
 def get_field(q):
     """GF(q) for a prime power written as a plain integer."""
     return FiniteField.of_order(q)
+
+
+def list_loops():
+    """A context in which every ``_packed`` kernel runs its list loop, the
+    reference for every field."""
+    return mock.patch.object(_packed, "_format", lambda field: None)
 
 
 def reference_is_irreducible(p, f):

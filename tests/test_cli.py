@@ -7,6 +7,7 @@ import pytest
 
 from intertwine import (
     FiniteField,
+    IntertwiningCode,
     Matrix,
     Partition,
     Poly,
@@ -211,6 +212,31 @@ def test_verify_budget_skip_and_strict(tmp_path, capsys):
 
     code, _, _ = run(capsys, ["verify", cert_path, "--budget", "3", "--strict"])
     assert code == 3
+
+
+def test_negative_budget_is_usage_error(tmp_path, capsys):
+    cert = construct_code(4, 4, 2, FiniteField(5))
+    cert_path = write_json(tmp_path / "cert.json", serialize.certificate_to_json(cert))
+    code = IntertwiningCode(cert.field, cert.r, cert.s, cert.X)
+    code_path = write_json(tmp_path / "code.json", serialize.code_to_json(code))
+    for argv in (["mindist", code_path, "--budget", "-1"],
+                 ["mindist", code_path, "--budget", "x"],
+                 ["verify", cert_path, "--budget", "-5"],
+                 ["verify", cert_path, "--budget", "-5", "--strict"]):
+        status, out, err = run(capsys, argv)
+        assert (status, out) == (1, ""), argv
+        assert "--budget" in err, argv
+    status, _, _ = run(capsys, ["mindist", code_path, "--budget", "0"])
+    assert status == 3
+
+
+def test_code_file_k_must_match_basis(tmp_path, capsys):
+    cert = construct_code(4, 4, 2, FiniteField(5))
+    blob = serialize.code_to_json(IntertwiningCode(cert.field, cert.r, cert.s, cert.X))
+    path = write_json(tmp_path / "code.json", dict(blob, k=7))
+    status, out, err = run(capsys, ["mindist", path])
+    assert (status, out) == (1, "")
+    assert "code.json" in err and "'k'" in err
 
 
 def test_factor_command(tmp_path, capsys):

@@ -134,6 +134,21 @@ def test_field_arithmetic_is_built_once(monkeypatch):
     assert calls == {"is_irreducible": 0, "_vector_ops": 0}
 
 
+def test_each_prime_is_proved_once(monkeypatch):
+    # trial division of 2^31 - 1 takes milliseconds; a rebuilt field, by
+    # either constructor, repeats none of it
+    calls = []
+    original = fields.prime_divisors
+    monkeypatch.setattr(fields, "prime_divisors", lambda n: calls.append(n) or original(n))
+    fields._prime_power.cache_clear()
+    first = FiniteField.of_order(2**31 - 1)
+    # one division finds the prime power, and the prime check reuses it
+    assert calls == [2**31 - 1]
+    for again in (FiniteField(2**31 - 1), FiniteField(2**31 - 1), FiniteField.of_order(2**31 - 1)):
+        assert again == first
+    assert calls == [2**31 - 1]
+
+
 def test_pow_examples_and_negative_exponents():
     # a prime field, Zech and XOR tables, and vector arithmetic past them
     for q in (5, 9, 16, 1 << 17):

@@ -1,7 +1,7 @@
 """Exact linear algebra: elimination, characteristic polynomials, completion."""
 
 import random
-from unittest import mock
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from intertwine import (
     poly_eval,
 )
 from intertwine.matrices import _hessenberg
-from support import get_field, rand_matrix, reference_charpoly
+from support import get_field, list_loops, rand_matrix, reference_charpoly
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -304,23 +304,38 @@ def kernel_results(m):
 
 
 def test_packed_elimination_covers_exactly_the_small_fields():
-    # the packed product and Hessenberg reduction qualify the same fields
-    for q in PACKED_ORDERS:
-        assert _packed._rref(get_field(q), 1, 1, (1,)) is not None
-        assert _packed._matmul(get_field(q), 1, 1, 1, (1,), (1,)) is not None
-        assert _packed._hessenberg(get_field(q), 1, (1,), True) is not None
-    for q in LIST_ORDERS:
-        assert _packed._rref(get_field(q), 1, 1, (1,)) is None
-        assert _packed._matmul(get_field(q), 1, 1, 1, (1,), (1,)) is None
-        assert _packed._hessenberg(get_field(q), 1, (1,), True) is None
+    # byte loops return bytes and list loops lists: elimination, the product
+    # and the Hessenberg reduction take byte rows over the same fields
+    for q in PACKED_ORDERS + LIST_ORDERS:
+        field = get_field(q)
+        byte_rows = q in PACKED_ORDERS
+        assert isinstance(_packed._rref(field, 1, 1, (1,))[0], bytes) == byte_rows
+        assert isinstance(_packed._matmul(field, 1, 1, 1, (1,), (1,)), bytes) == byte_rows
+        assert isinstance(_packed._hessenberg(field, 1, (1,), True)[1], bytes) == byte_rows
+
+
+# The rows of the codeword scan per field: one byte per entry added by XOR,
+# GF(p) coefficient planes, or plain lists.
+SCAN_FORMATS = {2: "xor", 4: "xor", 16: "xor", 256: "xor", 5: "planes", 127: "planes",
+                9: "planes", 131: "list", 1024: "planes",
+                25: "planes", 49: "planes", 512: "planes"}
+
+
+@pytest.mark.parametrize("q", SCAN_FORMATS)
+def test_format_alone_decides_byte_rows(q):
+    # LIST_ORDERS are also the fields whose polynomials keep the list loops
+    field = get_field(q)
+    assert (_packed._format(field) is None) == (q not in PACKED_ORDERS)
+    pack, add, _ = _packed._row_ops(field, 3)
+    assert ("list" if pack is list else "xor" if add is xor else "planes") == SCAN_FORMATS[q]
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_matrices())
 def test_kernel_matches_list_loop(m):
-    # the list loop in Matrix.rref is the reference for every field
+    # the list loop of _packed._rref is the reference for every field
     results = kernel_results(m)
-    with mock.patch.object(_packed, "_rref", lambda *args: None):
+    with list_loops():
         reference = kernel_results(m)
     assert results == reference
 
@@ -382,7 +397,7 @@ def test_charpoly_matches_berkowitz(m):
 
 
 def list_hessenberg(m, transform):
-    with mock.patch.object(_packed, "_hessenberg", lambda *args: None):
+    with list_loops():
         return _hessenberg(m, transform)
 
 
@@ -443,7 +458,7 @@ def test_charpoly_of_permuted_block_matrices():
 
 
 def list_matmul(a, b):
-    with mock.patch.object(_packed, "_matmul", lambda *args: None):
+    with list_loops():
         return a * b
 
 

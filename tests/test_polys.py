@@ -3,7 +3,6 @@
 import itertools
 import json
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +20,10 @@ from intertwine import (
     is_irreducible,
     squarefree_decomposition,
 )
-from intertwine import _packed, polys, serialize
+from intertwine import _packed, serialize
 from intertwine.cli import main
 from intertwine.polys import encoding
-from support import get_field, reference_poly_divmod, reference_poly_mul
+from support import get_field, list_loops, reference_poly_divmod, reference_poly_mul
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -128,8 +127,7 @@ def poly_operands(draw):
 
 
 def list_loop(fn, *args):
-    # the list loops in Poly are the reference for every field
-    with mock.patch.object(polys, "_poly", lambda *_, **__: None):
+    with list_loops():
         return fn(*args)
 
 
@@ -160,14 +158,17 @@ def test_poly_kernel_on_dense_top_coefficients(q):
 def test_packed_polynomials_cover_exactly_the_byte_fields():
     # the list loop makes 3 * 11 coefficient products for 3 x 11 coefficients
     # and for 13 / 11, enough for the packed kernel, and 4 * 8 for 4 x 8 and
-    # 11 / 8, which stay on the list loop
+    # 11 / 8, which stay on the list loop; the byte loop returns bytes and
+    # the list loop lists
     for q in POLY_PACKED_ORDERS + POLY_LIST_ORDERS:
         field = get_field(q)
         packed = q in POLY_PACKED_ORDERS
-        assert (_packed._poly(field, (1,) * 3, (1,) * 11) is not None) == packed
-        assert (_packed._poly(field, (1,) * 13, (1,) * 11, divide=True) is not None) == packed
-        assert _packed._poly(field, (1,) * 4, (1,) * 8) is None
-        assert _packed._poly(field, (1,) * 11, (1,) * 8, divide=True) is None
+        assert (_packed._format(field) is not None) == packed
+        assert isinstance(_packed._poly(field, (1,) * 3, (1,) * 11), bytes) == packed
+        assert isinstance(_packed._poly(field, (1,) * 13, (1,) * 11, divide=True)[0],
+                          bytes) == packed
+        assert isinstance(_packed._poly(field, (1,) * 4, (1,) * 8), list)
+        assert isinstance(_packed._poly(field, (1,) * 11, (1,) * 8, divide=True)[0], list)
 
 
 def test_squarefree_examples():

@@ -56,6 +56,11 @@ def test_code_roundtrip_with_distance_metadata():
     for d, d_budget in ((1, 1 << 24), (None, None), ("x", True)):
         old = dict(blob, d=d, d_budget=d_budget)
         assert serialize.code_from_json(json.loads(json.dumps(old))) == code
+    # "k" may be left out, but a stated one must match the basis
+    assert serialize.code_from_json({key: blob[key] for key in blob if key != "k"}) == code
+    for k in (code.k + 1, code.k - 1, 0):
+        with pytest.raises(ValueError, match="'k'"):
+            serialize.code_from_json(dict(blob, k=k))
 
 
 def test_factorization_json_shape():
