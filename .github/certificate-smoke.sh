@@ -1,0 +1,18 @@
+#!/bin/sh
+# Certificate smoke checks for CI, run from the repository root:
+#   sh .github/certificate-smoke.sh
+set -eu
+
+echo "Construct and verify a 40x40 certificate"
+PYTHONPATH=src timeout 20 python -m intertwine.cli construct 40 40 2 --q 5 --out /tmp/c40.json
+PYTHONPATH=src timeout 60 python -m intertwine.cli verify /tmp/c40.json
+
+echo "Verify a transposed 30x12 certificate over GF(25)"
+# GF(25) has no byte rows, so this runs the list loops and Zech tables;
+# the distance scan is skipped for budget, which --strict reports as 3
+PYTHONPATH=src timeout 20 python -m intertwine.cli extremal 30 12 --q 25 --out /tmp/e30.json
+PYTHONPATH=src timeout 60 python -m intertwine.cli verify /tmp/e30.json --out /tmp/e30-report.json
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["passed"] is not True)' /tmp/e30-report.json
+rc=0
+PYTHONPATH=src timeout 60 python -m intertwine.cli verify --strict /tmp/e30.json > /dev/null || rc=$?
+test "$rc" -eq 3

@@ -1,6 +1,6 @@
 """Gauss-Jordan elimination, Hessenberg reduction, matrix and polynomial
-products, polynomial division, row updates and codeword rows over any
-finite field, on byte-packed rows where the field allows.
+products, polynomial division and codeword rows over any finite field, on
+byte-packed rows where the field allows.
 
 ``_format`` alone decides which fields get byte rows.  A row of m entries
 is then one Python int made from m bytes, one byte per entry, most
@@ -31,8 +31,10 @@ similarity on one flat byte string: a column's row updates are one sum over
 all the rows below the pivot, and its column updates sum the column slices
 ``flat[i::n]``.
 
-``_axpy_ops`` gives the row updates x + c*y of the intertwiner solver in
-``codes``, and ``_row_ops`` the row sums and weights of its codeword scan.
+``_matmul`` takes its right factor as a list of rows, so a caller that
+keeps rows, such as the intertwiner solver of ``codes``, passes them as
+they are; ``_row`` makes a row in the kernels' format.  ``_row_ops`` gives
+the row sums and weights of the codeword scan in ``codes``.
 """
 
 from __future__ import annotations
@@ -147,11 +149,19 @@ def _rref(field, nrows, ncols, entries):
     return b"".join([row.to_bytes(m, "big") for row in rows]), r, tuple(pivots)
 
 
-def _matmul(field, n, m, k, a, b):
-    """Entries of the n x k product of row-major a (n x m) and b (m x k).
+def _row(field, entries):
+    """The entries as one row in the kernels' format: bytes on byte rows,
+    else a list."""
+    return list(entries) if _format(field) is None else bytes(entries)
+
+
+def _matmul(field, n, m, k, a, brows):
+    """Entries of the n x k product of row-major a (n x m) and the m x k
+    matrix whose rows, of k entries each, are brows.
 
     On byte rows, row i of the product is the sum over t of a[i, t] times
-    row t of b, each multiple made by one ``translate``.
+    row t, each multiple made by one ``translate``; a row that is already
+    bytes is used as it is.
     """
     fmt = _format(field)
     if fmt is None:
@@ -163,14 +173,13 @@ def _matmul(field, n, m, k, a, b):
             for t in range(m):
                 c = arow[t]
                 if c:
-                    brow = b[t * k:(t + 1) * k]
+                    brow = brows[t]
                     for j in range(k):
                         if brow[j]:
                             out[base + j] = add(out[base + j], mul(c, brow[j]))
         return out
     scale, reduce, limit = fmt
-    flat = bytes(b)
-    brows = [flat[t * k:(t + 1) * k] for t in range(m)]
+    brows = [bytes(row) for row in brows]
     out = []
     if reduce is None:
         for i in range(n):
@@ -381,41 +390,6 @@ def _poly(field, a, b, divide=False):
     if reduce is not None:
         flat = flat.translate(reduce)
     return (bytes(out), flat[:db]) if divide else flat
-
-
-def _axpy_ops(field, n):
-    """(pack, axpy, unpack) for vectors of n entries of the field.
-
-    pack turns an entry sequence into a vector, axpy(x, c, y) is the vector
-    x + c*y and unpack gives the entries back.  A field with byte rows keeps
-    a vector as one int of n bytes; any other keeps a list and calls the
-    field per entry.
-    """
-    fmt = _format(field)
-    if fmt is None:
-        add, mul = field.add, field.mul
-
-        def axpy(x, c, y):
-            return [add(a, mul(c, b)) if b else a for a, b in zip(x, y)]
-
-        return list, axpy, list
-    scale, reduce, _ = fmt
-
-    def pack(entries):
-        return int.from_bytes(bytes(entries), "big")
-
-    def unpack(x):
-        return x.to_bytes(n, "big")
-
-    if reduce is None:
-        def axpy(x, c, y):
-            return x ^ int.from_bytes(y.to_bytes(n, "big").translate(scale[c]), "big")
-    else:
-        def axpy(x, c, y):
-            total = x + int.from_bytes(y.to_bytes(n, "big").translate(scale[c]), "big")
-            return int.from_bytes(total.to_bytes(n, "big").translate(reduce), "big")
-
-    return pack, axpy, unpack
 
 
 def _row_ops(field, n):

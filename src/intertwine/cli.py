@@ -44,10 +44,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _budget(text):
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _integer(text):
+    """An ASCII decimal integer with an optional leading minus: the one way
+    every number on the command line is read."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+def _budget(text):
+    n = _integer(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
 
 
 def _add_common(sub, *, field_opts=False, budget=False):
@@ -95,16 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("construct",
                         help="certificate for a code of dimension k and distance floor(r/k)*s")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("r", type=_integer)
+    p.add_argument("s", type=_integer)
+    p.add_argument("k", type=_integer)
     _add_common(p, field_opts=True)
     p.set_defaults(handler=_cmd_construct)
 
     p = subs.add_parser("extremal",
                         help="certificate for dimension min(r,s) and distance max(r,s)")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
+    p.add_argument("r", type=_integer)
+    p.add_argument("s", type=_integer)
     _add_common(p, field_opts=True)
     p.set_defaults(handler=_cmd_extremal)
 
@@ -152,10 +162,10 @@ def _load_pairs(paths):
 def _parse_order(text) -> FiniteField:
     base, caret, exp = text.partition("^")
     try:
-        n = int(base)
-        e = int(exp) if caret else None
-    except ValueError as exc:
-        raise UsageError(f"cannot parse field order {text!r}") from exc
+        n = _integer(base)
+        e = _integer(exp) if caret else None
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"argument --q: cannot parse field order {text!r}") from exc
     return FiniteField.of_order(n) if e is None else FiniteField(n, e)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from ._packed import _axpy_ops, _row_ops
+from ._packed import _matmul, _row, _row_ops
 from .canonical import _component, _factors
 from .errors import (
     BudgetExceededError,
@@ -161,7 +161,9 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
     and the next column is a fresh vector of r unknowns.  So each y_j is an
     r x n coefficient matrix over n = r * (number of blocks) unknowns, and
     the kernel of the conditions gives every Y, and X = Y P (Gantmacher,
-    The Theory of Matrices, Vol. 1, Ch. VIII).
+    The Theory of Matrices, Vol. 1, Ch. VIII).  Each y_j is kept as one
+    row of r * n entries, and each column's sum is one row of a
+    ``_packed._matmul`` product over the rows A y_j, y_0, ..., y_j.
     """
     field = a.field
     r, s = a.nrows, b.nrows
@@ -169,42 +171,39 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
     blocks = 1 + sum(1 for j in range(s - 1) if not h[j + 1][j])
     n = r * blocks
     size = r * n
-    pack, axpy, unpack = _axpy_ops(field, size)
-    neg, inv = field.neg, field.inv
-    zero = pack([0] * size)
-    identity = Matrix.identity(field, r).entries
+    neg, mul, inv = field.neg, field.mul, field.inv
 
-    def placed(block, entries):
-        # the coefficient matrix with the r x r entries in the block's columns
+    def opened(block):
+        # a block's free vector: the r x r identity in the block's columns
         ent = [0] * size
         for u in range(r):
-            start = u * n + block * r
-            ent[start:start + r] = entries[u * r:(u + 1) * r]
-        return pack(ent)
+            ent[u * n + block * r + u] = 1
+        return _row(field, ent)
 
-    # a block opens with y_j its free vector, so A y_j is A in its columns
     block = 0
-    ys = [placed(0, identity)]
-    ay = placed(0, a.entries)
+    ys = [opened(0)]
     conditions = []
     for j in range(s):
-        w = ay
-        for t in range(j + 1):
-            if h[t][j]:
-                w = axpy(w, neg(h[t][j]), ys[t])
-        if j + 1 < s and h[j + 1][j]:
-            ys.append(axpy(zero, inv(h[j + 1][j]), w))
-            ay = pack((a * Matrix._raw(field, r, n, unpack(ys[-1]))).entries)
-        else:
-            conditions.extend(unpack(w))
-            block += 1
-            if block < blocks:
-                ys.append(placed(block, identity))
-                ay = placed(block, a.entries)
+        y = ys[j]
+        ay = _matmul(field, r, r, n, a.entries, [y[u * n:(u + 1) * n] for u in range(r)])
+        # w = g (A y_j - sum_(t<=j) h_tj y_t): y_(j+1) for g = 1/h_(j+1,j), or
+        # the conditions of a closing block for g = 1
+        closes = j + 1 == s or not h[j + 1][j]
+        g = 1 if closes else inv(h[j + 1][j])
+        ng = neg(g)
+        coeffs = [g] + [mul(ng, h[t][j]) for t in range(j + 1)]
+        w = _matmul(field, 1, j + 2, size, coeffs, [ay, *ys])
+        if not closes:
+            ys.append(w)
+            continue
+        conditions.extend(w)
+        block += 1
+        if block < blocks:
+            ys.append(opened(block))
     kernel = Matrix._raw(field, r * blocks, n, conditions).nullspace()
     zs = Matrix._raw(field, len(kernel), n, [v for z in kernel for v in z.entries])
     # column c of X = Y P is d_c z for the coefficient matrix d_c = sum_j P_jc y_j
-    d = (p.transpose() * Matrix._raw(field, s, size, [v for y in ys for v in unpack(y)])).entries
+    d = _matmul(field, s, s, size, p.transpose().entries, ys)
     # entry (m, (u, c)) of ct is entry (u, m) of d_c, so row l of zs ct is
     # vec(X_l); d[u * n + m::size] lists entry (u, m) of every d_c
     ct = Matrix._raw(field, n, r * s,

@@ -176,7 +176,7 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         f, n, m, k = self.field, self.nrows, self.ncols, other.ncols
-        return Matrix._raw(f, n, k, _packed._matmul(f, n, m, k, self.entries, other.entries))
+        return Matrix._raw(f, n, k, _packed._matmul(f, n, m, k, self.entries, other.rows()))
 
     def scale(self, c: int):
         """Multiply every entry by the field element c."""

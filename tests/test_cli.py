@@ -221,6 +221,9 @@ def test_negative_budget_is_usage_error(tmp_path, capsys):
     code_path = write_json(tmp_path / "code.json", serialize.code_to_json(code))
     for argv in (["mindist", code_path, "--budget", "-1"],
                  ["mindist", code_path, "--budget", "x"],
+                 ["mindist", code_path, "--budget", "５"],
+                 ["mindist", code_path, "--budget", "1_5"],
+                 ["verify", cert_path, "--budget", "５"],
                  ["verify", cert_path, "--budget", "-5"],
                  ["verify", cert_path, "--budget", "-5", "--strict"]):
         status, out, err = run(capsys, argv)
@@ -228,6 +231,20 @@ def test_negative_budget_is_usage_error(tmp_path, capsys):
         assert "--budget" in err, argv
     status, _, _ = run(capsys, ["mindist", code_path, "--budget", "0"])
     assert status == 3
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["construct", "1_0", "2", "1"], "r"),
+    (["construct", "2", " 2", "1"], "s"),
+    (["construct", "2", "2", "１"], "k"),
+    (["construct", "2", "2", "+1"], "k"),
+    (["extremal", "3", "2_0"], "s"),
+    (["extremal", "٣", "2"], "r"),
+])
+def test_sizes_are_ascii_integers(capsys, argv, name):
+    code, out, err = run(capsys, argv + ["--q", "5"])
+    assert (code, out) == (1, ""), argv
+    assert f"argument {name}:" in err and "Traceback" not in err, argv
 
 
 def test_code_file_k_must_match_basis(tmp_path, capsys):
@@ -261,10 +278,11 @@ def test_q_parsing(tmp_path, capsys):
         assert code == 0, q
         assert json.loads(out)["field"] == field
 
-    for q in ("abc", "2^x", "2^3^4"):
+    # only ASCII digits are read: no underscores, spaces or other digits
+    for q in ("abc", "2^x", "2^3^4", "5_0", " 5", "５", "2^ 3", "2^３"):
         code, out, err = run(capsys, ["construct", "2", "2", "1", "--q", q])
         assert (code, out) == (1, ""), q
-        assert "cannot parse field order" in err
+        assert "cannot parse field order" in err and "--q" in err
 
     for q in ("0", "1", "-4", "6", "12", "2^0", "2^-1", "4^2"):
         code, out, err = run(capsys, ["construct", "2", "2", "1", "--q", q])

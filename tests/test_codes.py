@@ -21,6 +21,7 @@ from intertwine import (
     ZeroCodeError,
     complete_invertible,
     conjugate_code,
+    construct_code,
     dimension_formula,
     direct_sum,
     generalized_jordan_matrix,
@@ -33,6 +34,8 @@ from intertwine import (
     spectral_bounds,
     syndrome,
 )
+from intertwine import _packed
+from intertwine.matrices import _hessenberg
 from intertwine.polys import encoding
 from support import (
     get_field,
@@ -175,6 +178,36 @@ def test_intertwiner_basis_matches_reference(q, data):
     a_list = [data.draw(matrices_of_kind(f, r)) for _ in range(pairs)]
     b_list = [data.draw(matrices_of_kind(f, s)) for _ in range(pairs)]
     assert intertwiner_basis(a_list, b_list) == reference_intertwiner_basis(a_list, b_list)
+
+
+@pytest.mark.parametrize("q", [5, 127, 9, 131, 1024])
+def test_intertwiner_basis_of_a_constructed_pair(q):
+    # B is conjugate to diag(zetas, beta, ..., beta), so its Hessenberg form
+    # closes a block at almost every column: the solver's worst case
+    cert = construct_code(8, 6, 2, get_field(q))
+    code = intertwiner_basis([cert.A], [cert.B])
+    assert code.k == 2
+    assert code == reference_intertwiner_basis([cert.A], [cert.B])
+
+
+def test_intertwiner_basis_reduces_long_column_sums():
+    # B is upper Hessenberg with no zero entry on or above the subdiagonal,
+    # so H = B and column 43's sum has 45 nonzero terms, past the 42 that a
+    # GF(7) byte sum holds before it must be reduced
+    f, s = FiniteField(7), 44
+    assert _packed._format(f)[2] == 42
+    rng = random.Random(7)
+    while True:
+        b = Matrix(f, s, s, [rng.randrange(1, 7) if j >= i - 1 else 0
+                             for i in range(s) for j in range(s)])
+        lam = next((c for c in range(7) if (b - Matrix.scalar(f, s, c)).rank() < s), None)
+        if lam is not None:
+            break
+    assert _hessenberg(b, transform=True)[0] == [list(row) for row in b.rows()]
+    a = Matrix(f, 2, 2, [lam, 1, 0, lam])
+    code = intertwiner_basis([a], [b])
+    assert code.k >= 1
+    assert code == reference_intertwiner_basis([a], [b])
 
 
 def test_second_pair_shrinks_the_code():

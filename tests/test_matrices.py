@@ -304,13 +304,16 @@ def kernel_results(m):
 
 
 def test_packed_elimination_covers_exactly_the_small_fields():
-    # byte loops return bytes and list loops lists: elimination, the product
-    # and the Hessenberg reduction take byte rows over the same fields
+    # byte loops return bytes and list loops lists: elimination, the product,
+    # the Hessenberg reduction and ``_row`` take byte rows over the same fields
     for q in PACKED_ORDERS + LIST_ORDERS:
         field = get_field(q)
         byte_rows = q in PACKED_ORDERS
+        row = _packed._row(field, (1,))
+        assert isinstance(row, bytes) == byte_rows
+        assert isinstance(row, list) != byte_rows
         assert isinstance(_packed._rref(field, 1, 1, (1,))[0], bytes) == byte_rows
-        assert isinstance(_packed._matmul(field, 1, 1, 1, (1,), (1,)), bytes) == byte_rows
+        assert isinstance(_packed._matmul(field, 1, 1, 1, (1,), [row]), bytes) == byte_rows
         assert isinstance(_packed._hessenberg(field, 1, (1,), True)[1], bytes) == byte_rows
 
 
