@@ -3,9 +3,10 @@
 A matrix A splits F^r into invariant subspaces ker p(A)^m, one per monic
 irreducible factor p of its characteristic polynomial.  On each subspace the
 action is modelled by a generalized Jordan matrix whose block sizes form a
-partition; the partition is recovered basis-free from the nullity chain
-dim ker p(A)^j, whose successive differences divided by deg p are the
-conjugate partition.
+partition, recovered basis-free from the nullity chain dim ker p(A)^j: its
+differences divided by deg p are the conjugate partition.  One elimination
+of [p(A) | I] gives the chain, by lifting each kernel basis to the next
+without forming a power of p(A).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InternalInconsistencyError, NotIrreducibleError, NotSquareError
-from .matrices import Matrix, companion_matrix, direct_sum, poly_eval
+from ._packed import _matmul, _row
+from .matrices import Matrix, _kernel, companion_matrix, direct_sum, poly_eval
 from .partitions import Partition
 from .polys import Poly, factor, is_irreducible
 
@@ -56,21 +58,38 @@ def _component(a: Matrix, irr: Poly, mult: int) -> PrimaryComponent:
     """The primary component of an irreducible factor irr of multiplicity
     mult in the characteristic polynomial of a.
 
-    The nullities n_j = dim ker irr(a)^j are computed until they reach
-    deg(irr) * mult; the block-count sequence (n_j - n_{j-1}) / deg irr must
-    be weakly decreasing and its conjugate is the component partition.
-    Violations of divisibility or monotonicity can only come from an
-    arithmetic bug and raise InternalInconsistencyError.
+    The nullities n_j = dim ker N^j of N = irr(a) come from one elimination
+    of [N | I], which gives R = T N, reduced with rho pivots.  A vector y is
+    in im N exactly when entries rho.. of T y vanish, and x with x[pivot_i] =
+    (T y)_i, zero elsewhere, then solves N x = y: ker N^(j+1) is ker N plus
+    the lift of ker N^j & im N.  M has T's first rho rows as its pivot
+    columns and the rest as its free columns.  For the rows Y of a basis of
+    ker N^j, each c in the nullspace of the free columns of Y M lifts c Y to
+    c Y M, so no power of N is formed.  The chain stops at deg(irr) * mult;
+    the block counts (n_j - n_{j-1}) / deg irr must be weakly decreasing,
+    and their conjugate is the partition.  Anything else is an arithmetic
+    bug and raises InternalInconsistencyError.
     """
-    n = a.nrows
+    field, n = a.field, a.nrows
     d = irr.degree
     target = d * mult
-    pa = poly_eval(irr, a)
-    power = pa
-    blocks = []
-    prev = 0
+    pa, wide = poly_eval(irr, a).entries, []
+    for i in range(n):
+        wide += pa[i * n:(i + 1) * n] + (0,) * i + (1,) + (0,) * (n - 1 - i)
+    reduced, _, pivots = Matrix._raw(field, n, 2 * n, wide).rref()
+    ent, pivots = reduced.entries, [c for c in pivots if c < n]
+    free = [c for c in range(n) if c not in pivots]
+    trow = dict(zip(pivots + free, range(n)))
+    mrows = [_row(field, [ent[2 * n * trow[c] + n + j] for c in range(n)]) for j in range(n)]
+    kernel = [v for x in _kernel(field, ent, 2 * n, n, pivots) for v in x]
+    y, blocks, prev = [], [], 0
     while True:
-        nullity = n - power.rref()[1]
+        k = len(y) // n
+        z = _matmul(field, k, n, n, y, mrows)
+        cs = Matrix._raw(field, len(free), k, [v for c in free for v in z[c::n]]).nullspace()
+        y = kernel + list(_matmul(field, len(cs), k, n, [v for c in cs for v in c.entries],
+                                  [z[i * n:(i + 1) * n] for i in range(k)]))
+        nullity = len(y) // n
         delta = nullity - prev
         if delta <= 0 or delta % d:
             raise InternalInconsistencyError(
@@ -88,7 +107,6 @@ def _component(a: Matrix, irr: Poly, mult: int) -> PrimaryComponent:
                 f"nullity chain for factor {irr!r} failed to stabilize"
             )
         prev = nullity
-        power = power * pa
     partition = Partition(blocks).conjugate()
     if partition.weight != mult:
         raise InternalInconsistencyError(

@@ -215,21 +215,9 @@ class Matrix:
         """Canonical kernel basis: one column vector per free column, the free
         variable set to 1 in ascending column order."""
         reduced, _, pivots = self.rref()
-        f, m = self.field, self.ncols
-        neg = f.neg
-        pivset = set(pivots)
-        basis = []
-        for free in range(m):
-            if free in pivset:
-                continue
-            v = [0] * m
-            v[free] = 1
-            for rr, pc in enumerate(pivots):
-                coef = reduced.entries[rr * m + free]
-                if coef:
-                    v[pc] = neg(coef)
-            basis.append(Matrix._raw(f, m, 1, v))
-        return basis
+        m = self.ncols
+        return [Matrix._raw(self.field, m, 1, v)
+                for v in _kernel(self.field, reduced.entries, m, m, pivots)]
 
     def inverse(self):
         if not self.is_square:
@@ -290,6 +278,23 @@ class Matrix:
                             cur[d] = add(cur[d], mul(c, v))
             polys.append(cur)
         return Poly(f, polys[n])
+
+
+def _kernel(field, entries, width, m, pivots):
+    """The canonical kernel basis, as lists, of the reduced matrix with the
+    given pivots in the first m columns of rows of width entries."""
+    neg, pivset, basis = field.neg, set(pivots), []
+    for free in range(m):
+        if free in pivset:
+            continue
+        v = [0] * m
+        v[free] = 1
+        for rr, pc in enumerate(pivots):
+            coef = entries[rr * width + free]
+            if coef:
+                v[pc] = neg(coef)
+        basis.append(v)
+    return basis
 
 
 def _hessenberg(m: Matrix, transform=False):

@@ -8,13 +8,16 @@ from intertwine import (
     DimensionBreakdown,
     FactorTerm,
     FiniteField,
+    InternalInconsistencyError,
     IntertwiningCode,
     Matrix,
     Partition,
     Poly,
+    PrimaryComponent,
     conjugate_product,
     direct_sum,
     generalized_jordan_matrix,
+    poly_eval,
     primary_decomposition,
 )
 
@@ -260,3 +263,42 @@ def reference_dimension_formula(a, b):
             amount = ca.degree * conjugate_product([ca.partition, cb.partition])
             terms.append(FactorTerm(ca.irr, ca.partition, cb.partition, amount))
     return DimensionBreakdown(sum(t.contribution for t in terms), tuple(terms))
+
+
+def reference_component(a, irr, mult):
+    """The primary component of irr (multiplicity mult) in a from the powers
+    of irr(a): one product and one rref per nullity n_j = dim ker irr(a)^j,
+    with the same consistency checks as ``canonical._component``."""
+    n = a.nrows
+    d = irr.degree
+    target = d * mult
+    pa = poly_eval(irr, a)
+    power = pa
+    blocks = []
+    prev = 0
+    while True:
+        nullity = n - power.rref()[1]
+        delta = nullity - prev
+        if delta <= 0 or delta % d:
+            raise InternalInconsistencyError(
+                f"nullity step {delta} for factor {irr!r} is not a positive multiple of {d}"
+            )
+        if blocks and delta // d > blocks[-1]:
+            raise InternalInconsistencyError(
+                f"block counts for factor {irr!r} are not weakly decreasing"
+            )
+        blocks.append(delta // d)
+        if nullity == target:
+            break
+        if len(blocks) > mult:
+            raise InternalInconsistencyError(
+                f"nullity chain for factor {irr!r} failed to stabilize"
+            )
+        prev = nullity
+        power = power * pa
+    partition = Partition(blocks).conjugate()
+    if partition.weight != mult:
+        raise InternalInconsistencyError(
+            f"partition weight {partition.weight} != multiplicity {mult} for {irr!r}"
+        )
+    return PrimaryComponent(irr, mult, partition)

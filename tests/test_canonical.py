@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertwine import (
     FiniteField,
+    InternalInconsistencyError,
     Matrix,
     NotIrreducibleError,
     Partition,
@@ -19,8 +22,15 @@ from intertwine import (
     primary_decomposition,
     spectral_bounds,
 )
+from intertwine.canonical import _component, _factors
 from intertwine.polys import encoding
-from support import get_field, rand_matrix, rand_partition
+from support import (
+    get_field,
+    planted_matrix,
+    rand_matrix,
+    rand_partition,
+    reference_component,
+)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -174,3 +184,68 @@ def test_spectral_bounds_examples():
     comp = companion_matrix(Poly(F3, (1, 0, 1)))
     assert spectral_bounds(comp, comp) == (2, 2)
     assert spectral_bounds(comp, eye) == (0, 0)
+
+
+# GF(2), GF(7) and GF(16) run the byte-row kernels, GF(9), GF(131) and
+# GF(1024) the list loops
+CHAIN_ORDERS = (2, 7, 16, 9, 131, 1024)
+PLANTED = ((5, 2, 1), (4, 4), (3, 1, 1, 1), (6,))
+
+
+def _rand_irreducible(rng, field, d):
+    while True:
+        p = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+        if is_irreducible(p):
+            return p
+
+
+def _check_chain(rng, field, planted):
+    """Every component of a random conjugate of the direct sum of the planted
+    (irreducible, parts) blocks: the chain from one elimination gives the
+    planted partition and the reference's component."""
+    a = planted_matrix(rng, field, [(p.coeffs, parts) for p, parts in planted])
+    want = {p: Partition(parts) for p, parts in planted}
+    for irr, mult in _factors(a):
+        got = _component(a, irr, mult)
+        assert got == reference_component(a, irr, mult)
+        assert got.partition == want[irr]
+
+
+@pytest.mark.parametrize("q", CHAIN_ORDERS)
+def test_component_matches_reference(q):
+    rng = random.Random(q)
+    field = get_field(q)
+    for d in (1, 2, 3):
+        for parts in PLANTED:
+            p = _rand_irreducible(rng, field, d)
+            other = _rand_irreducible(rng, field, 1)
+            while other == p:
+                other = _rand_irreducible(rng, field, 1)
+            _check_chain(rng, field, [(p, parts), (other, (2, 1))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_component_matches_reference_drawn(data):
+    q = data.draw(st.sampled_from(CHAIN_ORDERS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    field = get_field(q)
+    planted = {}
+    for d in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        parts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        planted.setdefault(_rand_irreducible(rng, field, d), sorted(parts, reverse=True))
+    _check_chain(rng, field, list(planted.items()))
+
+
+@pytest.mark.parametrize("component", [_component, reference_component])
+def test_component_consistency_checks(component):
+    # t + 1 does not divide the characteristic polynomial t^3: the first
+    # nullity step is 0
+    nil = nilpotent_matrix(F2, Partition([2, 1]))
+    with pytest.raises(InternalInconsistencyError, match="nullity step 0"):
+        component(nil, Poly(F2, (1, 1)), 1)
+    # a multiplicity above the true 3 leaves the chain short of deg * mult
+    p = Poly(F3, (1, 0, 1))
+    a = generalized_jordan_matrix(p, Partition([2, 1]))
+    with pytest.raises(InternalInconsistencyError, match="nullity step 0"):
+        component(a, p, 4)
