@@ -7,6 +7,13 @@ echo "Construct and verify a 40x40 certificate"
 PYTHONPATH=src timeout 20 python -m intertwine.cli construct 40 40 2 --q 5 --out /tmp/c40.json
 PYTHONPATH=src timeout 60 python -m intertwine.cli verify /tmp/c40.json
 
+echo "Construct and verify a 50x50 certificate"
+# verify takes about 3 s on 2 vCPUs because the oracle numbers its unknowns
+# last block first; numbered first block first it takes about 25 s, so the
+# timeout fails this step if that order regresses
+PYTHONPATH=src timeout 20 python -m intertwine.cli construct 50 50 2 --q 5 --out /tmp/c50.json
+PYTHONPATH=src timeout 20 python -m intertwine.cli verify --strict /tmp/c50.json
+
 echo "Verify a transposed 30x12 certificate over GF(25)"
 # GF(25) has no byte rows, so this runs the list loops and Zech tables;
 # the distance scan is skipped for budget, which --strict reports as 3

@@ -1,7 +1,8 @@
 """Command line front end: JSON in, JSON out, deterministic output, budgets.
 
 Exit codes: 0 ok, 1 usage or parse error, 2 mathematical precondition
-violation, 3 budget exceeded, 4 internal cross-check failure.
+violation, 3 budget exceeded or a request too large for memory, 4 internal
+cross-check failure.
 """
 
 from __future__ import annotations
@@ -320,6 +321,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: the request needs more memory than is available", file=sys.stderr)
         return EXIT_BUDGET
     except InternalInconsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

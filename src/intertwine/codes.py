@@ -161,9 +161,14 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
     and the next column is a fresh vector of r unknowns.  So each y_j is an
     r x n coefficient matrix over n = r * (number of blocks) unknowns, and
     the kernel of the conditions gives every Y, and X = Y P (Gantmacher,
-    The Theory of Matrices, Vol. 1, Ch. VIII).  Each y_j is kept as one
-    row of r * n entries, and each column's sum is one row of a
-    ``_packed._matmul`` product over the rows A y_j, y_0, ..., y_j.
+    The Theory of Matrices, Vol. 1, Ch. VIII).  Block b's conditions involve
+    only the unknowns of blocks <= b, so the unknowns are numbered last block
+    first: the columns that ``nullspace`` eliminates first are then the ones
+    the fewest conditions involve, and a constructed pair, which closes a
+    block at almost every column, makes almost no fill (the order of Golub,
+    Nash & Van Loan's Hessenberg-Schur method, IEEE TAC 24, 1979).  Each y_j
+    is kept as one row of r * n entries, and each column's sum is one row of
+    a ``_packed._matmul`` product over the rows A y_j, y_0, ..., y_j.
     """
     field = a.field
     r, s = a.nrows, b.nrows
@@ -177,7 +182,7 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
         # a block's free vector: the r x r identity in the block's columns
         ent = [0] * size
         for u in range(r):
-            ent[u * n + block * r + u] = 1
+            ent[u * n + (blocks - 1 - block) * r + u] = 1
         return _row(field, ent)
 
     block = 0

@@ -16,7 +16,7 @@ from intertwine import (
     intertwiner_basis,
     nilpotent_matrix,
 )
-from intertwine import serialize
+from intertwine import cli, serialize
 from intertwine.cli import main
 
 F2 = FiniteField(2)
@@ -126,6 +126,21 @@ def test_mindist_budget_boundary(tmp_path, capsys):
     code, _, err = run(capsys, ["mindist", str(out_path), "--budget", "14"])
     assert code == 3
     assert "needs 15 codewords" in err
+
+
+@pytest.mark.parametrize("name, argv", [("construct_code", ["construct", "3", "2", "2"]),
+                                        ("construct_extremal", ["extremal", "3", "2"])],
+                         ids=["construct", "extremal"])
+def test_request_too_large_for_memory_exits_3(monkeypatch, capsys, name, argv):
+    # stands in for `construct 100000 1 1 --q 3`, which runs out of memory
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, out_of_memory)
+    code, out, err = run(capsys, [*argv, "--q", "5"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: the request needs more memory than is available\n"
 
 
 def test_mindist_zero_code_is_precondition_error(tmp_path, capsys):

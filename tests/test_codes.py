@@ -146,9 +146,11 @@ def matrices_of_kind(draw, f, n):
     if kind == "scalar" or n == 1:
         return Matrix.scalar(f, n, draw(small))
     if kind == "derogatory":
-        # one eigenvalue with at least two Jordan blocks, conjugated
-        first = draw(st.integers(1, n - 1))
-        parts = sorted([first, n - first], reverse=True)
+        # one eigenvalue with two to n Jordan blocks, conjugated: B's
+        # Hessenberg form then closes a block per Jordan block, and when A
+        # shares the eigenvalue the diagonal p(A) of each is singular
+        cuts = sorted(rng.sample(range(1, n), draw(st.integers(1, n - 1))))
+        parts = sorted((hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])), reverse=True)
         return planted_matrix(rng, f, [((f.neg(draw(small)), 1), parts)])
     if kind == "cyclic":
         # one Jordan block per eigenvalue, conjugated
@@ -180,14 +182,33 @@ def test_intertwiner_basis_matches_reference(q, data):
     assert intertwiner_basis(a_list, b_list) == reference_intertwiner_basis(a_list, b_list)
 
 
-@pytest.mark.parametrize("q", [5, 127, 9, 131, 1024])
-def test_intertwiner_basis_of_a_constructed_pair(q):
+@pytest.mark.parametrize("q, r, s", [
+    *(pytest.param(q, 8, 6, id=str(q)) for q in (5, 127, 9, 131, 1024)),
+    pytest.param(5, 16, 16, id="5-16x16"),
+    pytest.param(9, 10, 10, id="9-10x10"),
+])
+def test_intertwiner_basis_of_a_constructed_pair(q, r, s):
     # B is conjugate to diag(zetas, beta, ..., beta), so its Hessenberg form
-    # closes a block at almost every column: the solver's worst case
-    cert = construct_code(8, 6, 2, get_field(q))
+    # closes a block at almost every column, and the conditions of each can
+    # involve the unknowns of any earlier block
+    cert = construct_code(r, s, 2, get_field(q))
     code = intertwiner_basis([cert.A], [cert.B])
     assert code.k == 2
     assert code == reference_intertwiner_basis([cert.A], [cert.B])
+
+
+@pytest.mark.parametrize("q", [7, 16, 131])
+def test_intertwiner_basis_of_a_shared_eigenvalue_pair(q):
+    # 0 has 10 Jordan blocks in A and 9 in B: B's Hessenberg form closes a
+    # block per Jordan block, each with a singular diagonal p(A), so the
+    # conditions left over in one block constrain the unknowns of earlier ones
+    f = get_field(q)
+    rng = random.Random(q)
+    a = planted_matrix(rng, f, [((0, 1), [2, 2, 2, 2, 1, 1, 1, 1, 1, 1]), ((f.neg(1), 1), [3, 3])])
+    b = planted_matrix(rng, f, [((0, 1), [2, 2, 1, 1, 1, 1, 1, 1, 1]), ((f.neg(2), 1), [4, 2])])
+    code = intertwiner_basis([a], [b])
+    assert code.k == 98
+    assert code == reference_intertwiner_basis([a], [b])
 
 
 def test_intertwiner_basis_reduces_long_column_sums():

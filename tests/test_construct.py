@@ -224,10 +224,22 @@ def test_verify_flags_singular_conjugator():
 
 def test_verify_skips_distance_on_small_budget():
     cert = construct_code(3, 3, 2, F5)
-    report = verify_certificate(cert, budget=3)
-    assert report.distance_skipped
-    assert report.passed  # every other check still runs and passes
-    assert all(c.name != "minimum distance equals claim" for c in report.checks)
+    # the scan visits 5^2 - 1 = 24 nonzero codewords
+    for budget, skipped in ((3, True), (23, True), (24, False)):
+        report = verify_certificate(cert, budget=budget)
+        assert report.distance_skipped == skipped
+        assert report.passed  # every other check still runs and passes
+        names = [c.name for c in report.checks]
+        assert ("minimum distance equals claim" in names) != skipped
+
+
+def test_verify_reports_a_zero_code():
+    cert = construct_code(3, 3, 2, F5)
+    # the one element of GF(5) that is no seed scalar, so no eigenvalue of A
+    [c] = set(range(5)) - {*cert.zetas, cert.alpha, cert.beta}
+    report = verify_certificate(cert._replace(B=Matrix.scalar(F5, 3, c)))
+    assert not report.passed and not report.distance_skipped
+    assert CertificateCheck("minimum distance equals claim", False, "code is zero") in report.checks
 
 
 def test_verify_confirms_distance_from_supports_beyond_budget():
