@@ -14,6 +14,13 @@ echo "Construct and verify a 50x50 certificate"
 PYTHONPATH=src timeout 20 python -m intertwine.cli construct 50 50 2 --q 5 --out /tmp/c50.json
 PYTHONPATH=src timeout 20 python -m intertwine.cli verify --strict /tmp/c50.json
 
+echo "Construct and verify a 14x14 certificate over GF(9)"
+# GF(9) has no byte rows, so the distance check runs the list loops on a code
+# of 9^7 - 1 nonzero codewords, within the default budget; --strict exits 0
+# only if the check ran and was not skipped
+PYTHONPATH=src timeout 20 python -m intertwine.cli construct 14 14 7 --q 9 --out /tmp/c14.json
+PYTHONPATH=src timeout 20 python -m intertwine.cli verify --strict /tmp/c14.json
+
 echo "Verify a transposed 30x12 certificate over GF(25)"
 # GF(25) has no byte rows, so this runs the list loops and Zech tables;
 # the distance scan is skipped for budget, which --strict reports as 3

@@ -1,6 +1,6 @@
 """Gauss-Jordan elimination, Hessenberg reduction, matrix and polynomial
-products, polynomial division and codeword rows over any finite field, on
-byte-packed rows where the field allows.
+products and polynomial division over any finite field, on byte-packed rows
+where the field allows.
 
 ``_format`` alone decides which fields get byte rows.  A row of m entries
 is then one Python int made from m bytes, one byte per entry, most
@@ -32,15 +32,13 @@ all the rows below the pivot, and its column updates sum the column slices
 ``flat[i::n]``.
 
 ``_matmul`` takes its right factor as a list of rows, so a caller that
-keeps rows, such as the intertwiner solver of ``codes``, passes them as
-they are; ``_row`` makes a row in the kernels' format.  ``_row_ops`` gives
-the row sums and weights of the codeword scan in ``codes``.
+keeps rows, such as the solver and the distance scan of ``codes``, passes
+them as they are; ``_row`` makes a row in the kernels' format.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import xor
 
 
 class _Scales(dict):
@@ -391,44 +389,3 @@ def _poly(field, a, b, divide=False):
         flat = flat.translate(reduce)
     return (bytes(out), flat[:db]) if divide else flat
 
-
-def _row_ops(field, n):
-    """(pack, add, weight) for rows of n entries of the field.
-
-    pack turns an entry sequence into a row, add sums two rows and weight
-    counts the nonzero entries of a row.  The scan only adds rows, so every
-    field with p < 128 packs: byte rows in characteristic 2 add by XOR, and
-    any other such field keeps an entry as e bytes, one per GF(p)
-    coefficient of its encoding, in e planes of n bytes each, which add as
-    prime-field rows do.  Fields with p >= 128 keep plain lists.
-    """
-    fmt = _format(field)
-    if fmt is not None and fmt[1] is None:
-        return (lambda entries: int.from_bytes(bytes(entries), "big"), xor,
-                lambda x: n - x.to_bytes(n, "big").count(0))
-    p, e = field.p, field.e
-    if p >= 128:
-        fadd = field.add
-        return list, lambda x, y: [fadd(a, b) for a, b in zip(x, y)], lambda x: n - x.count(0)
-    size = e * n
-    shifts = [8 * n * t for t in range(1, e)]
-
-    def pack(entries):
-        return int.from_bytes(
-            b"".join(bytes([v // p**t % p for v in entries]) for t in range(e)), "big")
-
-    def weight(x):
-        # an entry is nonzero when any of its planes is; the OR of all planes
-        # lands in the last n bytes
-        folded = x
-        for shift in shifts:
-            folded |= x >> shift
-        return n - folded.to_bytes(size, "big").count(0, size - n)
-
-    reduce = bytes([x % p for x in range(256)])
-
-    def add(x, y):
-        # a byte sum is at most 2(p - 1) <= 252, so no byte carries
-        return int.from_bytes((x + y).to_bytes(size, "big").translate(reduce), "big")
-
-    return pack, add, weight

@@ -66,7 +66,7 @@ def _add_common(sub, *, field_opts=False, budget=False):
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     if budget:
         sub.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                         help="maximum number of enumerated codewords (default 2^24)")
+                         help="ceiling on q^k - 1, the code's nonzero codewords (default 2^24)")
     if field_opts:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--q", metavar="P^E", help="field order, e.g. 5 or 2^3 or 9")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_basis)
 
-    p = subs.add_parser("mindist", help="exhaustive minimum distance of a code")
+    p = subs.add_parser("mindist", help="exact minimum distance of a code")
     p.add_argument("code", metavar="code.json")
     _add_common(p, budget=True)
     p.set_defaults(handler=_cmd_mindist)

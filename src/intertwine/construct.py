@@ -224,8 +224,8 @@ def verify_certificate(cert: Certificate, budget: int = DEFAULT_BUDGET) -> Verif
     stated zetas, alpha and beta and (A, B) their stated conjugate, the
     oracle dimension, the claimed minimum distance from the disjoint
     supports of the X_l (never skipped), and the claimed minimum distance
-    by exhaustive scan (skipped, with a flag, when q^k - 1 exceeds the
-    budget).  This function shares no intermediate state with the builder.
+    by ``codes.min_distance`` (skipped, with a flag, when q^k - 1 exceeds
+    the budget).  This function shares no intermediate state with the builder.
     A certificate whose k, number of codewords or matrix shapes and fields
     do not fit r and s gets a single failed "certificate shapes" check.
     """

@@ -80,7 +80,7 @@ class ZeroCodeError(IntertwineError):
 
 
 class BudgetExceededError(IntertwineError):
-    """Exhaustive enumeration would exceed the allowed budget."""
+    """The code's q^k - 1 nonzero codewords exceed the allowed budget."""
 
     def __init__(self, needed, budget):
         super().__init__(f"enumeration needs {needed} codewords, budget is {budget}")

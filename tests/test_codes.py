@@ -2,7 +2,7 @@
 
 import random
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +35,12 @@ from intertwine import (
     syndrome,
 )
 from intertwine import _packed
+from intertwine.codes import _generators
 from intertwine.matrices import _hessenberg
 from intertwine.polys import encoding
 from support import (
     get_field,
+    list_loops,
     min_sum,
     planted_matrix,
     rand_invertible,
@@ -443,16 +445,51 @@ def test_min_distance_budget_boundary():
     assert (exc.value.needed, exc.value.budget) == (needed, needed - 1)
 
 
-# Every row format of the scan: one encoding byte (characteristic 2 with
-# q <= 256), coefficient planes (other p < 128) and plain lists (p >= 128).
+@pytest.mark.parametrize("q, n, k", [(9, 8, 5), (16, 7, 4), (16, 10, 4)])
+def test_min_distance_of_reed_solomon_codes(q, n, k):
+    # the rows x^j at the n distinct points 0 .. n - 1 span a Reed-Solomon
+    # code, d = n - k + 1, with one information set per k positions; so the
+    # scan must reach level 3 on these, 640 or 900 coefficient rows in more
+    # than one batch of products, on one generator (n < 2k) or two
+    field = get_field(q)
+    rows = [[1] * n]
+    for _ in range(k - 1):
+        rows.append([field.mul(x, v) for x, v in zip(range(n), rows[-1])])
+    code = IntertwiningCode(field, 1, n, [Matrix(field, 1, n, row) for row in rows])
+    assert min_distance(code) == n - k + 1
+    with list_loops():
+        assert min_distance(code) == n - k + 1
+
+
+def test_min_distance_in_the_last_batch():
+    # systematic (I | P) over GF(16), n = 7 < 2k, with row 1 of P set so that
+    # coefficients (0, 1, 15, 15) give a codeword of weight 3.  For this seed
+    # it is the only codeword of weight 3 or less up to scalars, and the last
+    # of level 3's 900 coefficient rows, so only the fourth batch forms it.
+    field = get_field(16)
+    rng = random.Random(8)
+    p = [[rng.randrange(1, 16) for _ in range(3)] for _ in range(4)]
+    p[1] = [field.add(field.mul(15, x), field.mul(15, y)) for x, y in zip(p[2], p[3])]
+    rows = [[int(i == j) for j in range(4)] + p[i] for i in range(4)]
+    code = IntertwiningCode(field, 1, 7, [Matrix(field, 1, 7, row) for row in rows])
+    assert code.codeword([0, 1, 15, 15]).weight() == 3
+    assert min_distance(code) == reference_min_distance(code) == 3
+
+
+# Both row formats that ``_packed._format`` decides: byte rows (2, 4, 8, 256,
+# 3, 5, 7, 127) and list loops (9, 27, 131, 1024).
 SCAN_ORDERS = (2, 4, 8, 256, 3, 5, 7, 127, 9, 27, 131, 1024)
 
 
 @st.composite
 def scan_codes(draw, q):
     f = get_field(q)
-    kind = draw(st.sampled_from(["random", "distance one", "full support", "planted"]))
-    r, s = (3, 3) if kind == "planted" else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["random", "distance one", "full support", "planted",
+                                 "vanishing"]))
+    if kind in ("planted", "vanishing"):
+        r, s = (3, 3) if kind == "planted" else (3, 4)
+    else:
+        r, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     # at most about 1100 projective codewords for the projective oracle
     kmax = max(k for k in (1, 2, 3) if k <= r * s and (q**k - 1) // (q - 1) <= 1100)
     k = draw(st.integers(1, kmax))
@@ -471,6 +508,12 @@ def scan_codes(draw, q):
         return kind, IntertwiningCode(f, r, s, [Matrix(f, r, s, row) for row in rows])
     mats = [Matrix(f, r, s, draw(st.lists(entry, min_size=r * s, max_size=r * s)))
             for _ in range(k)]
+    if kind == "vanishing":
+        # the basis vanishes on the dead positions, which never join an
+        # information set; at least 2k live ones leave room for two sets
+        dead = draw(st.sets(st.integers(0, r * s - 1), min_size=1, max_size=r * s - 2 * k))
+        mats = [Matrix(f, r, s, [0 if i in dead else v for i, v in enumerate(m.entries)])
+                for m in mats]
     if kind == "distance one":
         mats[0] = Matrix.unit(f, r, s, draw(st.integers(0, r - 1)), draw(st.integers(0, s - 1)))
     return kind, IntertwiningCode(f, r, s, mats)
@@ -485,6 +528,12 @@ def test_min_distance_matches_reference_scans(q, data):
         return
     d = min_distance(code)
     assert d == brute_min_distance(code, projective=True)
+    # disjoint information sets of k columns fit among the nonzero columns
+    live = sum(any(m.entries[j] for m in code.basis) for j in range(code.n))
+    gens = _generators(code.field, code.k, code.n, [m.entries for m in code.basis])
+    assert 1 <= len(list(islice(gens, live // code.k + 1))) <= live // code.k
+    with list_loops():
+        assert min_distance(code) == d
     if q**code.k <= 4096:
         assert d == reference_min_distance(code) == brute_min_distance(code)
     if kind == "distance one":

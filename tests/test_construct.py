@@ -20,7 +20,8 @@ from intertwine import (
     min_distance,
     verify_certificate,
 )
-from intertwine import construct
+from intertwine import codes, construct
+from intertwine._packed import _rref
 from support import get_field
 
 F2 = FiniteField(2)
@@ -196,6 +197,25 @@ def test_verify_passes_on_fresh_certificates():
         assert not report.distance_skipped
 
 
+@pytest.mark.parametrize("r, s, k, q, d", [(14, 14, 7, 9, 28), (12, 12, 6, 16, 24)])
+def test_min_distance_of_a_large_constructed_code(r, s, k, q, d):
+    # 9^7 - 1 nonzero codewords over a field of list loops, and
+    # 16^6 - 1 = 2^24 - 1 at the edge of the default budget
+    cert = construct_code(r, s, k, get_field(q))
+    assert min_distance(intertwiner_basis([cert.A], [cert.B])) == cert.claimed_d == d
+
+
+def test_min_distance_of_a_long_code_of_small_dimension(monkeypatch):
+    # 24 nonzero codewords against d / 2 = 100 generators: the scan finishes
+    # on the first generator, after one elimination
+    cert = construct_code(20, 20, 2, F5)
+    code = intertwiner_basis([cert.A], [cert.B])
+    calls = []
+    monkeypatch.setattr(codes, "_rref", lambda *args: calls.append(args) or _rref(*args))
+    assert min_distance(code) == cert.claimed_d == 200
+    assert len(calls) == 1
+
+
 def test_verify_flags_zeroed_codeword():
     cert = construct_code(3, 2, 2, F5)
     bad = cert._replace(X=(Matrix.zero(F5, 3, 2),) + cert.X[1:])
@@ -224,7 +244,7 @@ def test_verify_flags_singular_conjugator():
 
 def test_verify_skips_distance_on_small_budget():
     cert = construct_code(3, 3, 2, F5)
-    # the scan visits 5^2 - 1 = 24 nonzero codewords
+    # the budget is checked against the 5^2 - 1 = 24 nonzero codewords
     for budget, skipped in ((3, True), (23, True), (24, False)):
         report = verify_certificate(cert, budget=budget)
         assert report.distance_skipped == skipped
