@@ -12,6 +12,11 @@ mapped through a 256-byte table with ``bytes.translate``.
 * Prime fields with p < 128: two rows add as ints without any carry between
   bytes, because a byte sum is at most 2(p - 1) <= 252; one ``translate``
   by the table of x mod p then reduces every byte.
+* Characteristic 2 with 256 < q <= 2^12 (``_PLANES_LIMIT``): two byte
+  planes, the high bytes of a row's entries before their low bytes, so
+  rows still add by one XOR and a multiple is four ``translate``s, since an
+  entry is x_lo + x_hi t^8 (``_planes`` holds these kernels and their
+  tables).
 
 For any other field ``_format`` gives None and each kernel runs its list
 loop, which calls the field once per entry; the tests take the list loops
@@ -38,7 +43,16 @@ them as they are; ``_row`` makes a row in the kernels' format.
 
 from __future__ import annotations
 
+from array import array
 from functools import cache
+
+from ._planes import (
+    _hessenberg_planes,
+    _matmul_planes,
+    _Planes,
+    _poly_planes,
+    _rref_planes,
+)
 
 
 class _Scales(dict):
@@ -56,6 +70,12 @@ class _Scales(dict):
         return table
 
 
+# GF(2^e) with 256 < q <= _PLANES_LIMIT keeps its rows on two byte planes.
+# Planes beat the list loops at every e from 9 to 16, cold and warm, but a
+# field's tables reach 0.8 MB at 2^10, 3.2 MB at 2^12 and 54 MB at 2^16.
+_PLANES_LIMIT = 1 << 12
+
+
 # Below this size the list loop of ``_poly`` is faster: setting up a packed
 # product or division costs about as much as 32 field calls.  Keeping tiny
 # operands there keeps the default-modulus search of ``fields`` as fast.
@@ -65,15 +85,20 @@ _POLY_MIN_PAIRS = 32
 @cache
 def _format(field):
     """(scale, reduce, limit) when rows of the field pack one byte per entry,
-    characteristic 2 with q <= 256 or a prime field with p < 128; None for
-    every other field.
+    characteristic 2 with q <= 256 or a prime field with p < 128; the
+    field's ``_Planes`` when rows pack two byte planes, characteristic 2
+    with 256 < q <= _PLANES_LIMIT; None for every other field.
 
     scale maps c to the table of x -> c*x, reduce is the table of x mod p
     (None in characteristic 2, where rows add by XOR), and a byte sum of up
     to limit = 255 // (p - 1) prime-field terms, each at most p - 1, stays
-    below 256.
+    below 256.  On two planes the high bytes of a row's entries sit above
+    their low bytes, and since a high byte x_hi stands for x_hi*t^8, the
+    high plane is multiplied through the tables of c*t^8.
     """
     p = field.p
+    if p == 2 and 256 < field.q <= _PLANES_LIMIT:
+        return _Planes(field)
     if not (p == 2 and field.q <= 256 or field.e == 1 and p < 128):
         return None
     scale = _Scales(field)
@@ -112,6 +137,8 @@ def _rref(field, nrows, ncols, entries):
             pivots.append(c)
             r += 1
         return [v for row in rows for v in row], r, tuple(pivots)
+    if type(fmt) is _Planes:
+        return _rref_planes(field, fmt, n, m, entries)
     scale, reduce, _ = fmt
     neg, inv = field.neg, field.inv
     flat = bytes(entries)
@@ -147,10 +174,27 @@ def _rref(field, nrows, ncols, entries):
     return b"".join([row.to_bytes(m, "big") for row in rows]), r, tuple(pivots)
 
 
+def _rref_cost(field, k, n):
+    """What one ``_rref`` of k rows of n entries costs, counted in rows of a
+    ``_matmul`` product over k rows: about k on list loops, where both call
+    the field once per entry.  On packed rows the pivot search probes the
+    columns one by one, against a few ``translate``s per product row: about
+    n / 8 rows on byte rows, and n / 100 on two planes, whose product rows
+    take four ``translate``s a term and count their zeros in an array (timed
+    on constructed codes of 36 to 1024 columns)."""
+    fmt = _format(field)
+    if fmt is None:
+        return k
+    return max(k, n // (100 if type(fmt) is _Planes else 8))
+
+
 def _row(field, entries):
-    """The entries as one row in the kernels' format: bytes on byte rows,
-    else a list."""
-    return list(entries) if _format(field) is None else bytes(entries)
+    """The entries as one row in the kernels' format: bytes on byte rows, an
+    array("H") on two planes, else a list."""
+    fmt = _format(field)
+    if fmt is None:
+        return list(entries)
+    return array("H", entries) if type(fmt) is _Planes else bytes(entries)
 
 
 def _matmul(field, n, m, k, a, brows):
@@ -176,6 +220,8 @@ def _matmul(field, n, m, k, a, brows):
                         if brow[j]:
                             out[base + j] = add(out[base + j], mul(c, brow[j]))
         return out
+    if type(fmt) is _Planes:
+        return _matmul_planes(fmt, n, m, k, a, brows)
     scale, reduce, limit = fmt
     brows = [bytes(row) for row in brows]
     out = []
@@ -254,6 +300,8 @@ def _hessenberg(field, n, entries, transform):
                             if ptop[c]:
                                 prow[c] = sub(prow[c], mul(u, ptop[c]))
         return h, [v for row in p for v in row] if transform else None
+    if type(fmt) is _Planes:
+        return _hessenberg_planes(field, fmt, n, entries, transform)
     scale, reduce, limit = fmt
     flat = bytearray(entries)
     mats = [flat]
@@ -345,6 +393,8 @@ def _poly(field, a, b, divide=False):
                     if y:
                         out[i + j] = add(out[i + j], mul(x, y))
         return out
+    if type(fmt) is _Planes:
+        return _poly_planes(field, fmt, a, b, divide)
     scale, reduce, limit = fmt
     if divide:
         size, db = len(a), len(b) - 1
@@ -388,4 +438,3 @@ def _poly(field, a, b, divide=False):
     if reduce is not None:
         flat = flat.translate(reduce)
     return (bytes(out), flat[:db]) if divide else flat
-

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, combinations, islice, product
 
-from ._packed import _matmul, _row, _rref
+from ._packed import _matmul, _row, _rref, _rref_cost
 from .canonical import _component, _factors
 from .errors import (
     BudgetExceededError,
@@ -271,10 +271,11 @@ def min_distance(code: IntertwiningCode, budget: int = DEFAULT_BUDGET) -> int:
     and the scan stops once that reaches the lightest codeword formed.
 
     The bound holds for any m, and one generator's levels form every
-    codeword.  So no further generator is made once the level-1 rows that
-    would lift 2m to the lightest weight are as many as the first
-    generator's other codewords; a long code of small k would otherwise
-    make about d/2 generators.
+    codeword.  So no further generator is made once the eliminations that
+    would lift 2m to the lightest weight cost as much as the first
+    generator's other codewords (``_packed._rref_cost`` weighs one
+    elimination in codewords); a long code of small k would otherwise make
+    about d/2 generators.
     """
     k = code.k
     if k == 0:
@@ -291,7 +292,7 @@ def min_distance(code: IntertwiningCode, budget: int = DEFAULT_BUDGET) -> int:
         best = min(best, *(n - row.count(0) for row in gen))
         if 2 * len(gens) >= best:
             return best
-        if count // (field.q - 1) - k <= k * (best // 2 - len(gens)):
+        if count // (field.q - 1) - k <= _rref_cost(field, k, n) * (best // 2 - len(gens)):
             gens = gens[:1]
             break
     for w in range(2, k + 1):

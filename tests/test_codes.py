@@ -461,6 +461,20 @@ def test_min_distance_of_reed_solomon_codes(q, n, k):
         assert min_distance(code) == n - k + 1
 
 
+def test_min_distance_on_two_planes_matches_the_reference_scan():
+    # a GF(1024) code of 1024^2 - 1 codewords, two of its six positions
+    # zero in one basis matrix: rows, products and generators on two planes
+    f = get_field(1024)
+    rng = random.Random(1024)
+    mats = [rand_matrix(rng, f, 2, 3), Matrix(f, 2, 3, [0, 5, 1023, 0, 700, 1])]
+    code = IntertwiningCode(f, 2, 3, mats)
+    assert type(_packed._format(f)) is _packed._Planes
+    d = min_distance(code)
+    assert d == reference_min_distance(code)
+    with list_loops():
+        assert min_distance(code) == d
+
+
 def test_min_distance_in_the_last_batch():
     # systematic (I | P) over GF(16), n = 7 < 2k, with row 1 of P set so that
     # coefficients (0, 1, 15, 15) give a codeword of weight 3.  For this seed
@@ -476,8 +490,8 @@ def test_min_distance_in_the_last_batch():
     assert min_distance(code) == reference_min_distance(code) == 3
 
 
-# Both row formats that ``_packed._format`` decides: byte rows (2, 4, 8, 256,
-# 3, 5, 7, 127) and list loops (9, 27, 131, 1024).
+# Every row format that ``_packed._format`` decides: byte rows (2, 4, 8,
+# 256, 3, 5, 7, 127), two byte planes (1024) and list loops (9, 27, 131).
 SCAN_ORDERS = (2, 4, 8, 256, 3, 5, 7, 127, 9, 27, 131, 1024)
 
 

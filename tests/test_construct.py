@@ -216,6 +216,22 @@ def test_min_distance_of_a_long_code_of_small_dimension(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("r, s, k, q, d, eliminations", [
+    (9, 10, 3, 16, 30, 15), (10, 10, 3, 7, 30, 1), (16, 16, 4, 7, 64, 1)])
+def test_min_distance_weighs_eliminations_against_codewords(monkeypatch, r, s, k, q, d,
+                                                            eliminations):
+    # another generator costs one elimination, about n / 8 codewords on byte
+    # rows: at n = 90, 14 more of them (154) cost less than the first
+    # generator's 270 other codewords; at n = 100 and 256 they cost more
+    # than its 54 and 396
+    cert = construct_code(r, s, k, get_field(q))
+    code = intertwiner_basis([cert.A], [cert.B])
+    calls = []
+    monkeypatch.setattr(codes, "_rref", lambda *args: calls.append(args) or _rref(*args))
+    assert min_distance(code) == cert.claimed_d == d
+    assert len(calls) == eliminations
+
+
 def test_verify_flags_zeroed_codeword():
     cert = construct_code(3, 2, 2, F5)
     bad = cert._replace(X=(Matrix.zero(F5, 3, 2),) + cert.X[1:])

@@ -1,6 +1,7 @@
 """Exact linear algebra: elimination, characteristic polynomials, completion."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -264,10 +265,11 @@ def test_transpose_and_weight():
     assert m.transpose().weight() == 3
 
 
-# Fields that take the byte-packed elimination, then fields that keep the
-# list loop: odd-characteristic extension, p >= 128, q > 256.
-PACKED_ORDERS = (2, 4, 16, 256, 5, 127)
-LIST_ORDERS = (9, 131, 1024)
+# Fields that take the byte-packed elimination (one byte per entry, then
+# two byte planes for 256 < q <= 2^12), then fields that keep the list
+# loop: odd-characteristic extension, p >= 128, q > 2^12.
+PACKED_ORDERS = (2, 4, 16, 256, 5, 127, 512, 1024, 2048, 4096)
+LIST_ORDERS = (9, 131, 8192)
 SHAPES = ("no rows", "no columns", "all zero", "tall", "wide", "square", "rank deficient")
 
 
@@ -303,20 +305,20 @@ def kernel_results(m):
 
 
 def test_packed_elimination_covers_exactly_the_small_fields():
-    # byte loops return bytes and list loops lists: elimination, the product,
-    # the Hessenberg reduction and ``_row`` take byte rows over the same fields
+    # byte loops return bytes, two planes an array("H") and list loops
+    # lists: elimination, the product, the Hessenberg reduction and ``_row``
+    # take packed rows over the same fields
     for q in PACKED_ORDERS + LIST_ORDERS:
         field = get_field(q)
-        byte_rows = q in PACKED_ORDERS
+        kind = list if q in LIST_ORDERS else array if q > 256 else bytes
         row = _packed._row(field, (1,))
-        assert isinstance(row, bytes) == byte_rows
-        assert isinstance(row, list) != byte_rows
-        assert isinstance(_packed._rref(field, 1, 1, (1,))[0], bytes) == byte_rows
-        assert isinstance(_packed._matmul(field, 1, 1, 1, (1,), [row]), bytes) == byte_rows
-        assert isinstance(_packed._hessenberg(field, 1, (1,), True)[1], bytes) == byte_rows
+        assert type(row) is kind
+        assert type(_packed._rref(field, 1, 1, (1,))[0]) is kind
+        assert type(_packed._matmul(field, 1, 1, 1, (1,), [row])) is kind
+        assert type(_packed._hessenberg(field, 1, (1,), True)[1]) is kind
 
 
-@pytest.mark.parametrize("q", PACKED_ORDERS + LIST_ORDERS + (25, 49, 512))
+@pytest.mark.parametrize("q", PACKED_ORDERS + LIST_ORDERS + (25, 49))
 def test_format_alone_decides_byte_rows(q):
     # LIST_ORDERS are also the fields whose polynomials keep the list loops
     field = get_field(q)
@@ -333,11 +335,47 @@ def test_kernel_matches_list_loop(m):
     assert results == reference
 
 
+# Two planes at and just below their limit, with a non-default modulus, and
+# the list loops just above it.
+PLANE_FIELDS = (FiniteField(2, 9), FiniteField(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+                FiniteField(2, 12), FiniteField(2, 13))
+
+
+@pytest.mark.parametrize("field", PLANE_FIELDS, ids=str)
+@pytest.mark.parametrize("shape", ["dense top", "random", "rank deficient", "no rows",
+                                   "no columns"])
+def test_plane_kernels_match_list_loops(field, shape):
+    # every entry q - 1 sets both planes of every byte; the products, the
+    # elimination, kernels, inverses and the Hessenberg reduction against the
+    # list loops
+    q = field.q
+    rng = random.Random(f"{q}:{shape}")
+    nrows, ncols = {"no rows": (0, 5), "no columns": (5, 0)}.get(shape, (9, 9))
+    if shape == "dense top":
+        m = Matrix(field, nrows, ncols, [q - 1] * (nrows * ncols))
+    elif shape == "rank deficient":
+        m = rand_matrix(rng, field, nrows, 4) * rand_matrix(rng, field, 4, ncols)
+    else:
+        m = rand_matrix(rng, field, nrows, ncols)
+    other = rand_matrix(rng, field, ncols, 7)
+
+    def results():
+        out = kernel_results(m) + (m * other, other.transpose() * m.transpose())
+        if m.is_square:
+            out += (_hessenberg(m, True), m.charpoly())
+        return out
+
+    packed = results()
+    assert type(_packed._format(field)) is (type(None) if q > 4096 else _packed._Planes)
+    with list_loops():
+        assert packed == results()
+
+
 # Characteristic polynomial against the Berkowitz reference.  Besides dense
 # matrices, the shapes below leave zero entries under the subdiagonal, so the
 # Hessenberg reduction must pivot or skip a column and the recurrence meets
 # zero subdiagonal entries.
-CHARPOLY_ORDERS = (2, 4, 16, 256, 5, 127, 9, 1024, 131)
+CHARPOLY_ORDERS = (2, 4, 16, 256, 5, 127, 9, 512, 1024, 4096, 8192, 131)
 CHARPOLY_SHAPES = ("dense", "zero", "nilpotent", "derogatory", "block diagonal")
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -100,11 +101,12 @@ def test_divmod_identity(data):
     assert rem.degree < b.degree
 
 
-# Fields whose polynomial products and remainders run on packed rows, then
+# Fields whose polynomial products and remainders run on packed rows (one
+# byte per coefficient, then two byte planes for 256 < q <= 2^12), then
 # fields that keep the list loops: odd-characteristic extension, p >= 128,
-# q > 256.  GF(127) fits only two terms in a byte before it must reduce.
-POLY_PACKED_ORDERS = (2, 4, 8, 16, 256, 3, 5, 7, 127)
-POLY_LIST_ORDERS = (9, 131, 1024)
+# q > 2^12.  GF(127) fits only two terms in a byte before it must reduce.
+POLY_PACKED_ORDERS = (2, 4, 8, 16, 256, 3, 5, 7, 127, 512, 1024, 2048, 4096)
+POLY_LIST_ORDERS = (9, 131, 8192)
 
 
 @st.composite
@@ -155,18 +157,33 @@ def test_poly_kernel_on_dense_top_coefficients(q):
     assert divmod(h, f) == reference_poly_divmod(h, f)
 
 
+def test_plane_polynomials_with_a_non_default_modulus():
+    # GF(1024) modulo t^10 + t^3 + 1 instead of the default modulus
+    field = FiniteField(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+    rng = random.Random(10)
+    for degree_f, degree_g in ((40, 17), (33, 33), (60, 9), (20, 45)):
+        f = Poly(field, [rng.randrange(1024) for _ in range(degree_f)] + [rng.randrange(1, 1024)])
+        g = Poly(field, [rng.randrange(1024) for _ in range(degree_g)] + [rng.randrange(1, 1024)])
+        assert f * g == reference_poly_mul(f, g) == list_loop(Poly.__mul__, f, g)
+        assert divmod(f, g) == reference_poly_divmod(f, g) == list_loop(divmod, f, g)
+        assert gcd(f, g) == list_loop(gcd, f, g)
+        if degree_f <= 40:
+            assert factor(f) == list_loop(factor, f)
+
+
 def test_packed_polynomials_cover_exactly_the_byte_fields():
     # the list loop makes 3 * 11 coefficient products for 3 x 11 coefficients
     # and for 13 / 11, enough for the packed kernel, and 4 * 8 for 4 x 8 and
-    # 11 / 8, which stay on the list loop; the byte loop returns bytes and
-    # the list loop lists
+    # 11 / 8, which stay on the list loop; the byte loop returns bytes, two
+    # planes an array("H") and the list loop lists
     for q in POLY_PACKED_ORDERS + POLY_LIST_ORDERS:
         field = get_field(q)
         packed = q in POLY_PACKED_ORDERS
+        kind = list if not packed else array if q > 256 else bytes
         assert (_packed._format(field) is not None) == packed
-        assert isinstance(_packed._poly(field, (1,) * 3, (1,) * 11), bytes) == packed
-        assert isinstance(_packed._poly(field, (1,) * 13, (1,) * 11, divide=True)[0],
-                          bytes) == packed
+        assert type(_packed._poly(field, (1,) * 3, (1,) * 11)) is kind
+        for part in _packed._poly(field, (1,) * 13, (1,) * 11, divide=True):
+            assert type(part) is kind
         assert isinstance(_packed._poly(field, (1,) * 4, (1,) * 8), list)
         assert isinstance(_packed._poly(field, (1,) * 11, (1,) * 8, divide=True)[0], list)
 
