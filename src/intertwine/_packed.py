@@ -16,7 +16,7 @@ mapped through a 256-byte table with ``bytes.translate``.
   planes, the high bytes of a row's entries before their low bytes, so
   rows still add by one XOR and a multiple is four ``translate``s, since an
   entry is x_lo + x_hi t^8 (``_planes`` holds these kernels and their
-  tables).
+  tables, and is imported when ``_format`` first meets such a field).
 
 For any other field ``_format`` gives None and each kernel runs its list
 loop, which calls the field once per entry; the tests take the list loops
@@ -31,10 +31,12 @@ and remainders are sums of shifted row multiples as above (schoolbook
 multiplication and division, von zur Gathen and Gerhard, Modern Computer
 Algebra, sections 2.3 and 2.4).
 
-``_hessenberg`` reduces a square matrix to upper Hessenberg form by
-similarity on one flat byte string: a column's row updates are one sum over
-all the rows below the pivot, and its column updates sum the column slices
-``flat[i::n]``.
+``_hessenberg`` reduces the leading square block of a wide matrix [M | T]
+to upper Hessenberg form by similarity on one flat byte string: a column's
+row updates are one sum over all the rows below the pivot and over all
+columns, and its column updates sum the column slices ``flat[i::w]`` of M.
+Its tail is then P T, so a caller that needs P passes [M | I], the matrix
+whose elimination gives an inverse.
 
 ``_matmul`` takes its right factor as a list of rows, so a caller that
 keeps rows, such as the solver and the distance scan of ``codes``, passes
@@ -45,14 +47,6 @@ from __future__ import annotations
 
 from array import array
 from functools import cache
-
-from ._planes import (
-    _hessenberg_planes,
-    _matmul_planes,
-    _Planes,
-    _poly_planes,
-    _rref_planes,
-)
 
 
 class _Scales(dict):
@@ -75,6 +69,10 @@ class _Scales(dict):
 # field's tables reach 0.8 MB at 2^10, 3.2 MB at 2^12 and 54 MB at 2^16.
 _PLANES_LIMIT = 1 << 12
 
+# The module of the two-plane kernels, which ``_format`` imports when it
+# first meets a field that takes them, so that no other process compiles it.
+_planes = None
+
 
 # Below this size the list loop of ``_poly`` is faster: setting up a packed
 # product or division costs about as much as 32 field calls.  Keeping tiny
@@ -87,7 +85,8 @@ def _format(field):
     """(scale, reduce, limit) when rows of the field pack one byte per entry,
     characteristic 2 with q <= 256 or a prime field with p < 128; the
     field's ``_Planes`` when rows pack two byte planes, characteristic 2
-    with 256 < q <= _PLANES_LIMIT; None for every other field.
+    with 256 < q <= _PLANES_LIMIT; None for every other field.  The kernels
+    tell the first two apart by ``type(fmt) is tuple``.
 
     scale maps c to the table of x -> c*x, reduce is the table of x mod p
     (None in characteristic 2, where rows add by XOR), and a byte sum of up
@@ -96,9 +95,11 @@ def _format(field):
     their low bytes, and since a high byte x_hi stands for x_hi*t^8, the
     high plane is multiplied through the tables of c*t^8.
     """
+    global _planes
     p = field.p
     if p == 2 and 256 < field.q <= _PLANES_LIMIT:
-        return _Planes(field)
+        from . import _planes
+        return _planes._Planes(field)
     if not (p == 2 and field.q <= 256 or field.e == 1 and p < 128):
         return None
     scale = _Scales(field)
@@ -137,8 +138,8 @@ def _rref(field, nrows, ncols, entries):
             pivots.append(c)
             r += 1
         return [v for row in rows for v in row], r, tuple(pivots)
-    if type(fmt) is _Planes:
-        return _rref_planes(field, fmt, n, m, entries)
+    if type(fmt) is not tuple:
+        return _planes._rref_planes(field, fmt, n, m, entries)
     scale, reduce, _ = fmt
     neg, inv = field.neg, field.inv
     flat = bytes(entries)
@@ -185,7 +186,7 @@ def _rref_cost(field, k, n):
     fmt = _format(field)
     if fmt is None:
         return k
-    return max(k, n // (100 if type(fmt) is _Planes else 8))
+    return max(k, n // (8 if type(fmt) is tuple else 100))
 
 
 def _row(field, entries):
@@ -194,7 +195,7 @@ def _row(field, entries):
     fmt = _format(field)
     if fmt is None:
         return list(entries)
-    return array("H", entries) if type(fmt) is _Planes else bytes(entries)
+    return bytes(entries) if type(fmt) is tuple else array("H", entries)
 
 
 def _matmul(field, n, m, k, a, brows):
@@ -220,8 +221,8 @@ def _matmul(field, n, m, k, a, brows):
                         if brow[j]:
                             out[base + j] = add(out[base + j], mul(c, brow[j]))
         return out
-    if type(fmt) is _Planes:
-        return _matmul_planes(fmt, n, m, k, a, brows)
+    if type(fmt) is not tuple:
+        return _planes._matmul_planes(fmt, n, m, k, a, brows)
     scale, reduce, limit = fmt
     brows = [bytes(row) for row in brows]
     out = []
@@ -247,30 +248,31 @@ def _matmul(field, n, m, k, a, brows):
     return b"".join(out)
 
 
-def _hessenberg(field, n, entries, transform):
-    """(h, p): the rows of an upper Hessenberg H = P M P^-1 as lists, for M
-    the n x n matrix of the row-major entries, and P's row-major entries
-    when transform is true (else None).
+def _hessenberg(field, n, w, entries):
+    """(h, tail): the rows of an upper Hessenberg H = P M P^-1 as lists, for M
+    the leading n x n block of the n x w row-major entries [M | T], and the
+    entries of P T in the kernels' row format.  A caller that needs P passes
+    [M | I].
 
     For each column j, the first row at or below j + 1 with a nonzero entry
     in column j is swapped into row j + 1 (and the same columns swapped),
     then each lower row i loses u times row j + 1 while column j + 1 gains
-    u times column i.  P collects the row operations.
+    u times column i.  The row operations run over all w columns, so the
+    tail collects P T; the column operations touch M alone.
 
-    On byte rows H and P are flat bytearrays of n * n bytes.  At column j
+    On byte rows [M | T] is one flat bytearray of n * w bytes.  At column j
     every multiplier u_i = h_ij / h_kj (k = j + 1) is read before any
     update: no column update touches column j, and the row update of row i
-    is the only one to change h_ij.  The row updates row_i -= u_i row_k of H
-    and of P are one sum over the rows below k, whose addend joins the
-    multiples of row k; the column update col_k += sum_i u_i col_i sums the
-    slices ``flat[i::n]``, reduced as in ``_matmul``.  Left and right
-    updates commute, so H and P equal the list loop's entry for entry.
+    is the only one to change h_ij.  The row updates row_i -= u_i row_k are
+    one sum over the rows below k, whose addend joins the multiples of row
+    k; the column update col_k += sum_i u_i col_i sums the slices
+    ``flat[i::w]``, reduced as in ``_matmul``.  Left and right updates
+    commute, so H and P T equal the list loop's entry for entry.
     """
     fmt = _format(field)
     if fmt is None:
         add, sub, mul, inv = field.add, field.sub, field.mul, field.inv
-        h = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
-        p = [[int(i == j) for j in range(n)] for i in range(n)] if transform else None
+        h = [list(entries[i * w:(i + 1) * w]) for i in range(n)]
         for j in range(n - 2):
             piv = next((i for i in range(j + 1, n) if h[i][j]), None)
             if piv is None:
@@ -280,67 +282,53 @@ def _hessenberg(field, n, entries, transform):
                 h[piv], h[k] = h[k], h[piv]
                 for row in h:
                     row[piv], row[k] = row[k], row[piv]
-                if transform:
-                    p[piv], p[k] = p[k], p[piv]
             top = h[k]
             iv = inv(top[j])
             for i in range(k + 1, n):
                 row = h[i]
                 if row[j]:
                     u = mul(row[j], iv)
-                    for c in range(j, n):
+                    for c in range(j, w):
                         if top[c]:
                             row[c] = sub(row[c], mul(u, top[c]))
                     for r in h:
                         if r[i]:
                             r[k] = add(r[k], mul(u, r[i]))
-                    if transform:
-                        prow, ptop = p[i], p[k]
-                        for c in range(n):
-                            if ptop[c]:
-                                prow[c] = sub(prow[c], mul(u, ptop[c]))
-        return h, [v for row in p for v in row] if transform else None
-    if type(fmt) is _Planes:
-        return _hessenberg_planes(field, fmt, n, entries, transform)
+        return [row[:n] for row in h], [v for row in h for v in row[n:]]
+    if type(fmt) is not tuple:
+        return _planes._hessenberg_planes(field, fmt, n, w, entries)
     scale, reduce, limit = fmt
     flat = bytearray(entries)
-    mats = [flat]
-    if transform:
-        pflat = bytearray(n * n)
-        pflat[::n + 1] = b"\1" * n
-        mats.append(pflat)
     for j in range(n - 2):
         k = j + 1
-        below = flat[k * n + j::n]
+        below = flat[k * w + j::w]
         rest = below.lstrip(b"\0")
         if not rest:
             continue
         piv = k + len(below) - len(rest)
-        lo, hi = k * n, (k + 1) * n
+        lo, hi = k * w, (k + 1) * w
         if piv != k:
-            for m in mats:
-                m[lo:hi], m[piv * n:(piv + 1) * n] = m[piv * n:(piv + 1) * n], m[lo:hi]
-            flat[k::n], flat[piv::n] = flat[piv::n], flat[k::n]
+            flat[lo:hi], flat[piv * w:(piv + 1) * w] = flat[piv * w:(piv + 1) * w], flat[lo:hi]
+            flat[k::w], flat[piv::w] = flat[piv::w], flat[k::w]
         iv = field.inv(flat[lo + j])
-        col = flat[hi + j::n]
+        col = flat[hi + j::w]
         if not col.lstrip(b"\0"):
             continue
         negu = col.translate(scale[field.neg(iv)])
-        for m in mats:
-            top = m[lo:hi]
-            multiples = {c: top.translate(scale[c]) for c in set(negu)}
-            addend = int.from_bytes(b"".join([multiples[c] for c in negu]), "big")
-            size = len(m) - hi
-            if reduce is None:
-                m[hi:] = (int.from_bytes(m[hi:], "big") ^ addend).to_bytes(size, "big")
-            else:
-                total = int.from_bytes(m[hi:], "big") + addend
-                m[hi:] = total.to_bytes(size, "big").translate(reduce)
-        acc = int.from_bytes(flat[k::n], "big")
+        top = flat[lo:hi]
+        multiples = {c: top.translate(scale[c]) for c in set(negu)}
+        addend = int.from_bytes(b"".join([multiples[c] for c in negu]), "big")
+        size = len(flat) - hi
+        if reduce is None:
+            flat[hi:] = (int.from_bytes(flat[hi:], "big") ^ addend).to_bytes(size, "big")
+        else:
+            total = int.from_bytes(flat[hi:], "big") + addend
+            flat[hi:] = total.to_bytes(size, "big").translate(reduce)
+        acc = int.from_bytes(flat[k::w], "big")
         terms = 1
         for i, c in enumerate(col.translate(scale[iv]), k + 1):
             if c:
-                term = int.from_bytes(flat[i::n].translate(scale[c]), "big")
+                term = int.from_bytes(flat[i::w].translate(scale[c]), "big")
                 if reduce is None:
                     acc ^= term
                     continue
@@ -350,9 +338,9 @@ def _hessenberg(field, n, entries, transform):
                 acc += term
                 terms += 1
         out = acc.to_bytes(n, "big")
-        flat[k::n] = out if reduce is None else out.translate(reduce)
-    h = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-    return h, (bytes(pflat) if transform else None)
+        flat[k::w] = out if reduce is None else out.translate(reduce)
+    h = [list(flat[i * w:i * w + n]) for i in range(n)]
+    return h, b"".join([flat[i * w + n:(i + 1) * w] for i in range(n)])
 
 
 def _poly(field, a, b, divide=False):
@@ -393,8 +381,8 @@ def _poly(field, a, b, divide=False):
                     if y:
                         out[i + j] = add(out[i + j], mul(x, y))
         return out
-    if type(fmt) is _Planes:
-        return _poly_planes(field, fmt, a, b, divide)
+    if type(fmt) is not tuple:
+        return _planes._poly_planes(field, fmt, a, b, divide)
     scale, reduce, limit = fmt
     if divide:
         size, db = len(a), len(b) - 1

@@ -13,9 +13,11 @@ representation of M4RIE (Albrecht, ISSAC 2012) with bytes for bits, on the
 byte rows of ``_packed``.  The kernels return entries as an array("H"),
 which slices and counts like the bytes of ``_packed``'s byte rows.
 
-These kernels live apart from ``_packed`` only to keep each module small:
-when the package is compiled from source at import, compiling the largest
-module sets the process's peak memory.
+These kernels live apart from ``_packed`` for two reasons.  Each module
+stays small: when the package is compiled from source at import, compiling
+the largest module sets the process's peak memory.  And ``_packed`` imports
+this module only when ``_format`` first meets a two-plane field, so no
+other process compiles it.
 """
 
 from __future__ import annotations
@@ -163,58 +165,53 @@ def _matmul_planes(planes, n, m, k, a, brows):
     return _unrows(rows, k)
 
 
-def _hessenberg_planes(field, planes, n, entries, transform):
-    """``_hessenberg`` on two flat planes per matrix, high and low bytes,
+def _hessenberg_planes(field, planes, n, w, entries):
+    """``_hessenberg`` on the two flat planes of [M | T], high and low bytes,
     with the same row and column updates as the byte path."""
     hi, lo = _split(entries)
     flat = (bytearray(hi), bytearray(lo))
-    mats = [flat]
-    if transform:
-        pflat = (bytearray(n * n), bytearray(n * n))
-        pflat[1][::n + 1] = b"\1" * n
-        mats.append(pflat)
     for j in range(n - 2):
         k = j + 1
-        below = int.from_bytes(flat[0][k * n + j::n], "big") | int.from_bytes(
-            flat[1][k * n + j::n], "big")
+        below = int.from_bytes(flat[0][k * w + j::w], "big") | int.from_bytes(
+            flat[1][k * w + j::w], "big")
         if not below:
             continue
         piv = n - 1 - (below.bit_length() - 1) // 8
-        top, end = k * n, (k + 1) * n
+        top, end = k * w, (k + 1) * w
         if piv != k:
-            for plane in [plane for mat in mats for plane in mat]:
-                plane[top:end], plane[piv * n:(piv + 1) * n] = (
-                    plane[piv * n:(piv + 1) * n], plane[top:end])
             for plane in flat:
-                plane[k::n], plane[piv::n] = plane[piv::n], plane[k::n]
+                plane[top:end], plane[piv * w:(piv + 1) * w] = (
+                    plane[piv * w:(piv + 1) * w], plane[top:end])
+                plane[k::w], plane[piv::w] = plane[piv::w], plane[k::w]
         iv = field.inv(flat[0][top + j] << 8 | flat[1][top + j])
         size = n - 1 - k
-        u = _times(planes[iv], flat[0][end + j::n], flat[1][end + j::n])
+        u = _times(planes[iv], flat[0][end + j::w], flat[1][end + j::w])
         if not u:
             continue
         us = u.to_bytes(2 * size, "big")
         us = [h << 8 | l for h, l in zip(us[:size], us[size:])]
         # row i below k loses u_i times row k: one XOR per plane
-        for mat in mats:
-            thi, tlo = mat[0][top:end], mat[1][top:end]
-            multiples = {0: (bytes(n), bytes(n))}
-            for c in set(us):
-                if c:
-                    row = _times(planes[c], thi, tlo).to_bytes(2 * n, "big")
-                    multiples[c] = row[:n], row[n:]
-            for part, plane in enumerate(mat):
-                addend = b"".join([multiples[c][part] for c in us])
-                plane[end:] = (int.from_bytes(plane[end:], "big")
-                               ^ int.from_bytes(addend, "big")).to_bytes(size * n, "big")
+        thi, tlo = flat[0][top:end], flat[1][top:end]
+        multiples = {0: (bytes(w), bytes(w))}
+        for c in set(us):
+            if c:
+                row = _times(planes[c], thi, tlo).to_bytes(2 * w, "big")
+                multiples[c] = row[:w], row[w:]
+        for part, plane in enumerate(flat):
+            addend = b"".join([multiples[c][part] for c in us])
+            plane[end:] = (int.from_bytes(plane[end:], "big")
+                           ^ int.from_bytes(addend, "big")).to_bytes(size * w, "big")
         # column k gains u_i times column i
-        acc = int.from_bytes(flat[0][k::n] + flat[1][k::n], "big")
+        acc = int.from_bytes(flat[0][k::w] + flat[1][k::w], "big")
         for i, c in enumerate(us, k + 1):
             if c:
-                acc ^= _wide(planes[c], flat[0][i::n], flat[1][i::n])
+                acc ^= _wide(planes[c], flat[0][i::w], flat[1][i::w])
         col = _fold(acc, n).to_bytes(2 * n, "big")
-        flat[0][k::n], flat[1][k::n] = col[:n], col[n:]
-    h = _join(*flat).tolist()
-    return [h[i * n:(i + 1) * n] for i in range(n)], (_join(*pflat) if transform else None)
+        flat[0][k::w], flat[1][k::w] = col[:n], col[n:]
+    ent = _join(*flat)
+    rows = [ent[i * w:(i + 1) * w] for i in range(n)]
+    return ([row[:n].tolist() for row in rows],
+            array("H", b"".join([row[n:].tobytes() for row in rows])))
 
 
 def _poly_planes(field, planes, a, b, divide):

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .errors import InternalInconsistencyError, NotIrreducibleError, NotSquareError
 from ._packed import _matmul, _row
-from .matrices import Matrix, _kernel, companion_matrix, direct_sum, poly_eval
+from .matrices import Matrix, _kernel, _with_identity, companion_matrix, direct_sum, poly_eval
 from .partitions import Partition
 from .polys import Poly, factor, is_irreducible
 
@@ -73,9 +73,7 @@ def _component(a: Matrix, irr: Poly, mult: int) -> PrimaryComponent:
     field, n = a.field, a.nrows
     d = irr.degree
     target = d * mult
-    pa, wide = poly_eval(irr, a).entries, []
-    for i in range(n):
-        wide += pa[i * n:(i + 1) * n] + (0,) * i + (1,) + (0,) * (n - 1 - i)
+    wide = _with_identity(poly_eval(irr, a))
     reduced, _, pivots = Matrix._raw(field, n, 2 * n, wide).rref()
     ent, pivots = reduced.entries, [c for c in pivots if c < n]
     free = [c for c in range(n) if c not in pivots]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, combinations, islice, product
 
-from ._packed import _matmul, _row, _rref, _rref_cost
+from ._packed import _hessenberg, _matmul, _row, _rref, _rref_cost
 from .canonical import _component, _factors
 from .errors import (
     BudgetExceededError,
@@ -21,7 +21,7 @@ from .errors import (
     SizeMismatchError,
     ZeroCodeError,
 )
-from .matrices import Matrix, _hessenberg
+from .matrices import Matrix, _with_identity
 from .partitions import conjugate_product
 from .polys import gcd
 
@@ -153,8 +153,8 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
     """A basis of {X : AX = XB} as the rows of a k x rs matrix, each row the
     row-major entries of one X.
 
-    With H = P B P^-1 upper Hessenberg (``_hessenberg``) and Y = X P^-1, the
-    equation becomes AY = YH, whose column j reads
+    With H = P B P^-1 upper Hessenberg and Y = X P^-1, the equation becomes
+    AY = YH, whose column j reads
     h_(j+1,j) y_(j+1) = A y_j - sum_(t<=j) h_tj y_t.  A nonzero subdiagonal
     entry determines the next column.  A zero one, or the last column,
     closes a block: the right-hand side must vanish, r linear conditions,
@@ -168,11 +168,12 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
     block at almost every column, makes almost no fill (the order of Golub,
     Nash & Van Loan's Hessenberg-Schur method, IEEE TAC 24, 1979).  Each y_j
     is kept as one row of r * n entries, and each column's sum is one row of
-    a ``_packed._matmul`` product over the rows A y_j, y_0, ..., y_j.
+    a ``_packed._matmul`` product over the rows A y_j, y_0, ..., y_j.  H and
+    P come from one ``_packed._hessenberg`` of [B | I], P as its tail.
     """
     field = a.field
     r, s = a.nrows, b.nrows
-    h, p = _hessenberg(b, transform=True)
+    h, p = _hessenberg(field, s, 2 * s, _with_identity(b))
     blocks = 1 + sum(1 for j in range(s - 1) if not h[j + 1][j])
     n = r * blocks
     size = r * n
@@ -208,7 +209,7 @@ def _pair_basis(a: Matrix, b: Matrix) -> Matrix:
     kernel = Matrix._raw(field, r * blocks, n, conditions).nullspace()
     zs = Matrix._raw(field, len(kernel), n, [v for z in kernel for v in z.entries])
     # column c of X = Y P is d_c z for the coefficient matrix d_c = sum_j P_jc y_j
-    d = _matmul(field, s, s, size, p.transpose().entries, ys)
+    d = _matmul(field, s, s, size, [v for c in range(s) for v in p[c::s]], ys)
     # entry (m, (u, c)) of ct is entry (u, m) of d_c, so row l of zs ct is
     # vec(X_l); d[u * n + m::size] lists entry (u, m) of every d_c
     ct = Matrix._raw(field, n, r * s,

@@ -2,11 +2,13 @@
 
 Matrices are immutable values; row-major entry order is the single
 vectorization convention used throughout the library.  The characteristic
-polynomial comes from a similarity reduction to upper Hessenberg form
-(``_hessenberg``, which also serves the intertwiner solver of ``codes``) and
+polynomial comes from a similarity reduction to upper Hessenberg form and
 the Hessenberg determinant recurrence, O(n^3) field operations in every
 characteristic.  Products, elimination and the Hessenberg reduction are the
-kernels ``_packed._matmul``, ``_rref`` and ``_hessenberg``.
+kernels ``_packed._matmul``, ``_rref`` and ``_hessenberg``.  Inverses, the
+nullity chain of ``canonical`` and the intertwiner solver of ``codes`` each
+reduce one [M | I] (``_with_identity``), whose right half collects the
+product of the row operations.
 """
 
 from __future__ import annotations
@@ -223,13 +225,7 @@ class Matrix:
         if not self.is_square:
             raise NotSquareError("inverse needs a square matrix")
         f, n = self.field, self.nrows
-        aug_rows = []
-        for i in range(n):
-            row = list(self.row(i)) + [0] * n
-            row[n + i] = 1
-            aug_rows.append(row)
-        aug = Matrix._raw(f, n, 2 * n, [v for row in aug_rows for v in row])
-        reduced, _, pivots = aug.rref()
+        reduced, _, pivots = Matrix._raw(f, n, 2 * n, _with_identity(self)).rref()
         # invertible exactly when every pivot lands in the left block
         if pivots[:n] != tuple(range(n)):
             raise SingularError(f"{n}x{n} matrix has rank {sum(1 for p in pivots if p < n)}")
@@ -244,8 +240,8 @@ class Matrix:
         """det(tI - M), monic of degree n.
 
         The matrix is first brought to upper Hessenberg form H by similarity
-        (``_hessenberg``).  The leading principal minors p_m of tI - H
-        (1-based) then satisfy
+        (``_packed._hessenberg`` with w = n, no tail).  The leading principal
+        minors p_m of tI - H (1-based) then satisfy
         p_m = (t - h_mm) p_(m-1) - sum_i h_im (prod_(i<j<=m) h_(j,j-1)) p_(i-1)
         (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
         """
@@ -254,7 +250,7 @@ class Matrix:
         f = self.field
         n = self.nrows
         add, mul, neg = f.add, f.mul, f.neg
-        h, _ = _hessenberg(self)
+        h, _ = _packed._hessenberg(f, n, n, self.entries)
         # polys[m] holds the ascending coefficients of p_m
         polys = [[1]]
         for m in range(n):
@@ -297,13 +293,15 @@ def _kernel(field, entries, width, m, pivots):
     return basis
 
 
-def _hessenberg(m: Matrix, transform=False):
-    """(h, P): the rows of an upper Hessenberg H = P M P^-1 as lists, and P as
-    a Matrix when transform is true (else None); see ``_packed._hessenberg``.
-    """
-    n = m.nrows
-    h, p = _packed._hessenberg(m.field, n, m.entries, transform)
-    return h, Matrix._raw(m.field, n, n, p) if transform else None
+def _with_identity(m: Matrix):
+    """The row-major entries of [M | I], whose right half collects the
+    product of the row operations of an elimination or a similarity
+    reduction."""
+    n, c, e = m.nrows, m.ncols, m.entries
+    wide = []
+    for i in range(n):
+        wide += e[i * c:(i + 1) * c] + (0,) * i + (1,) + (0,) * (n - 1 - i)
+    return wide
 
 
 def poly_eval(f: Poly, m: Matrix) -> Matrix:

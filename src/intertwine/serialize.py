@@ -87,6 +87,8 @@ def matrix_from_json(obj) -> Matrix:
     field = field_from_json(_require(obj, "field", dict, "matrix"))
     nrows = _require(obj, "rows", int, "matrix")
     ncols = _require(obj, "cols", int, "matrix")
+    if nrows < 0 or ncols < 0:
+        raise ValueError(f"matrix: sizes must be non-negative, got {nrows}x{ncols}")
     raw = _require(obj, "entries", list, "matrix")
     if len(raw) != nrows:
         raise ValueError(f"matrix: expected {nrows} rows, got {len(raw)}")

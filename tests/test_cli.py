@@ -373,6 +373,22 @@ def test_json_booleans_are_not_integers(tmp_path, capsys):
     assert "'k'" in err and "Traceback" not in err
 
 
+def test_negative_matrix_sizes_are_parse_errors(tmp_path, capsys):
+    # a document of the wrong shape exits 1 with a message naming its file,
+    # whichever size is negative and whether or not a row is given
+    cert = serialize.certificate_to_json(construct_code(2, 2, 1, F5))
+    for rows, cols in ((0, -3), (-1, 0), (-2, -2)):
+        blob = {"field": {"p": 2, "e": 1}, "rows": rows, "cols": cols, "entries": []}
+        path = write_json(tmp_path / "neg.json", blob)
+        cert["R"] = dict(blob, field=cert["field"])
+        cert_path = write_json(tmp_path / "cert.json", cert)
+        for argv in (["dim", path, path], ["basis", path, path], ["verify", cert_path]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, ""), (argv[0], rows, cols)
+            assert "non-negative" in err and "Traceback" not in err, (argv[0], rows, cols)
+            assert argv[-1] in err, (argv[0], rows, cols)
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["frobnicate"])
     assert code == 1

@@ -36,7 +36,8 @@ from intertwine import (
 )
 from intertwine import _packed
 from intertwine.codes import _generators
-from intertwine.matrices import _hessenberg
+from intertwine._planes import _Planes
+from intertwine.matrices import _with_identity
 from intertwine.polys import encoding
 from support import (
     get_field,
@@ -226,7 +227,7 @@ def test_intertwiner_basis_reduces_long_column_sums():
         lam = next((c for c in range(7) if (b - Matrix.scalar(f, s, c)).rank() < s), None)
         if lam is not None:
             break
-    assert _hessenberg(b, transform=True)[0] == [list(row) for row in b.rows()]
+    assert _packed._hessenberg(f, s, 2 * s, _with_identity(b))[0] == [list(r) for r in b.rows()]
     a = Matrix(f, 2, 2, [lam, 1, 0, lam])
     code = intertwiner_basis([a], [b])
     assert code.k >= 1
@@ -468,7 +469,7 @@ def test_min_distance_on_two_planes_matches_the_reference_scan():
     rng = random.Random(1024)
     mats = [rand_matrix(rng, f, 2, 3), Matrix(f, 2, 3, [0, 5, 1023, 0, 700, 1])]
     code = IntertwiningCode(f, 2, 3, mats)
-    assert type(_packed._format(f)) is _packed._Planes
+    assert type(_packed._format(f)) is _Planes
     d = min_distance(code)
     assert d == reference_min_distance(code)
     with list_loops():

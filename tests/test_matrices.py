@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from intertwine import (
     direct_sum,
     poly_eval,
 )
-from intertwine.matrices import _hessenberg
+from intertwine._planes import _Planes
+from intertwine.matrices import _with_identity
 from support import get_field, list_loops, rand_matrix, reference_charpoly
 
 F2 = FiniteField(2)
@@ -315,7 +317,7 @@ def test_packed_elimination_covers_exactly_the_small_fields():
         assert type(row) is kind
         assert type(_packed._rref(field, 1, 1, (1,))[0]) is kind
         assert type(_packed._matmul(field, 1, 1, 1, (1,), [row])) is kind
-        assert type(_packed._hessenberg(field, 1, (1,), True)[1]) is kind
+        assert type(_packed._hessenberg(field, 1, 2, (1, 1))[1]) is kind
 
 
 @pytest.mark.parametrize("q", PACKED_ORDERS + LIST_ORDERS + (25, 49))
@@ -362,11 +364,11 @@ def test_plane_kernels_match_list_loops(field, shape):
     def results():
         out = kernel_results(m) + (m * other, other.transpose() * m.transpose())
         if m.is_square:
-            out += (_hessenberg(m, True), m.charpoly())
+            out += (hessenberg_forms(m), m.charpoly())
         return out
 
     packed = results()
-    assert type(_packed._format(field)) is (type(None) if q > 4096 else _packed._Planes)
+    assert type(_packed._format(field)) is (type(None) if q > 4096 else _Planes)
     with list_loops():
         assert packed == results()
 
@@ -426,10 +428,20 @@ def test_charpoly_matches_berkowitz(m):
     assert m.charpoly() == reference_charpoly(m)
 
 
+def hessenberg_forms(m):
+    """H from the reduction of M alone, as charpoly makes it, and H and P, as
+    a Matrix, from the reduction of [M | I], as the intertwiner solver makes
+    them; M alone leaves an empty tail."""
+    f, n = m.field, m.nrows
+    h, tail = _packed._hessenberg(f, n, n, m.entries)
+    assert len(tail) == 0
+    wide, p = _packed._hessenberg(f, n, 2 * n, _with_identity(m))
+    return h, wide, Matrix._raw(f, n, n, p)
 
-def list_hessenberg(m, transform):
+
+def list_hessenberg(m):
     with list_loops():
-        return _hessenberg(m, transform)
+        return hessenberg_forms(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -437,9 +449,9 @@ def list_hessenberg(m, transform):
 def test_hessenberg_form_is_similar(m):
     # the shared reduction of charpoly and the intertwiner solver; every
     # byte field takes the packed path
-    h, p = _hessenberg(m, transform=True)
-    assert _hessenberg(m, transform=False) == list_hessenberg(m, False) == (h, None)
-    assert (h, p) == list_hessenberg(m, True)
+    h, wide, p = hessenberg_forms(m)
+    assert h == wide
+    assert (h, wide, p) == list_hessenberg(m)
     n = m.nrows
     assert all(not h[i][j] for i in range(n) for j in range(i - 1))
     big_h = Matrix(m.field, n, n, [v for row in h for v in row])
@@ -458,10 +470,39 @@ def test_packed_hessenberg_reduces_long_dense_sums(q, n):
     for _ in range(n - 2):
         ent += [q - 1] + [rng.randrange(q) for _ in range(n - 1)]
     m = Matrix(f, n, n, ent)
-    for transform in (False, True):
-        assert _hessenberg(m, transform) == list_hessenberg(m, transform)
+    assert hessenberg_forms(m) == list_hessenberg(m)
     dense = rand_matrix(rng, f, n, n)
-    assert _hessenberg(dense, True) == list_hessenberg(dense, True)
+    assert hessenberg_forms(dense) == list_hessenberg(dense)
+
+
+# Byte rows (2, 16, 256, 5, 127), two planes (512, 1024) and list loops
+# (9, 131).
+TAIL_ORDERS = (2, 16, 256, 5, 127, 512, 1024, 9, 131)
+
+
+@pytest.mark.parametrize("loops", [False, True], ids=["formats", "list loops"])
+@pytest.mark.parametrize("q", TAIL_ORDERS)
+def test_hessenberg_tail_is_p_times_t(q, loops):
+    # [M | I] gives an invertible P with P M = H P, and [M | T] reduces to
+    # the same H with tail P T, for tails of 0, 1, 3 and n columns; at
+    # n <= 2 the column loop is empty, and the sparse matrices make the
+    # reduction pivot and skip columns
+    f = get_field(q)
+    rng = random.Random(q)
+    with list_loops() if loops else nullcontext():
+        for n, sparse in ((0, False), (1, False), (2, False), (7, False), (7, True)):
+            m = Matrix(f, n, n, [rng.randrange(q) if not sparse or rng.random() < 0.3 else 0
+                                 for _ in range(n * n)])
+            h, p = _packed._hessenberg(f, n, 2 * n, _with_identity(m))
+            p = Matrix._raw(f, n, n, p)
+            assert p.rank() == n
+            assert p * m == Matrix(f, n, n, [v for row in h for v in row]) * p
+            for t in (0, 1, 3, n):
+                tail = rand_matrix(rng, f, n, t)
+                wide = [v for i in range(n) for v in m.row(i) + tail.row(i)]
+                ht, pt = _packed._hessenberg(f, n, n + t, wide)
+                assert ht == h
+                assert Matrix._raw(f, n, t, pt) == p * tail
 
 
 @pytest.mark.parametrize("q", [2, 7, 16])

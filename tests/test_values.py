@@ -128,3 +128,17 @@ def test_cli_import_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_two_planes_load_on_first_use():
+    # only a field of characteristic 2 with 256 < q <= 2^12 imports the
+    # two-plane kernels, so no other process compiles them
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys, intertwine.cli; "
+            "print('intertwine._planes' in sys.modules); "
+            "from intertwine import FiniteField, Matrix; "
+            "assert Matrix(FiniteField(2, 10), 2, 2, [1, 2, 3, 4]).rank() == 2; "
+            "print('intertwine._planes' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
